@@ -76,13 +76,13 @@ class FitWorkspace {
   const linalg::Matrix& cross() const { return total_.cross(); }
 
   /// Fused projection+accumulation access: the Step 4 projection pass
-  /// (opt::IncrementalProjector::SetFusedAccumulators or
-  /// opt::ProjectRowsBatchFused) streams each projected row straight into
-  /// these per-segment accumulators, and ReduceFusedSegments() then merges
-  /// them in segment order — the same ordered reduction
-  /// AccumulateNormalEquations runs, so gram()/cross() are bit-identical
-  /// to the separate sweep for every thread count. This removes the one
-  /// remaining O(n) re-read of the dataset per outer iteration.
+  /// (opt::IncrementalProjector::SetFusedAccumulators) streams each
+  /// projected row straight into these per-segment accumulators, and
+  /// ReduceFusedSegments() then merges them in segment order — the same
+  /// ordered reduction AccumulateNormalEquations runs, so gram()/cross()
+  /// are bit-identical to the separate sweep for every thread count. This
+  /// removes the one remaining O(n) re-read of the dataset per outer
+  /// iteration.
   std::vector<curve::BernsteinDesignAccumulator>* fused_segments() {
     return &segments_;
   }

@@ -55,6 +55,12 @@ double Clamp01(double v, double margin) {
   return std::clamp(v, margin, 1.0 - margin);
 }
 
+// ReprojectionMode::kWarmStart's safety resync cadence: every 8th Step 4
+// pass runs the full global search for every row, bounding how long a row
+// can track a stale local minimum. kFull is the same engine resyncing on
+// every pass.
+constexpr int kWarmResyncPeriod = 8;
+
 }  // namespace
 
 RpcLearner::RpcLearner(RpcLearnOptions options)
@@ -291,48 +297,48 @@ Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
   double projection_seconds = 0.0;
   double update_seconds = 0.0;
 
-  // Step 4 engine: the warm-start mode keeps per-row state (last s*, last
-  // squared distance, last drift) across outer iterations and only falls
-  // back to the full global search for suspect rows / periodic resyncs.
-  // Either engine streams each projected row straight into the fit
+  // Step 4 engine, one for both modes: kWarmStart keeps per-row state
+  // (last s*, last squared distance, last drift) across outer iterations
+  // and only falls back to the full global search for suspect rows and
+  // periodic resyncs; kFull resyncs on every pass, i.e. re-projects every
+  // row from scratch. Each projected row streams straight into the fit
   // workspace's per-segment Step 5 accumulators (fused
   // projection+accumulation), so the dataset is swept exactly once per
   // outer iteration.
-  const bool warm_start =
-      options_.reprojection == ReprojectionMode::kWarmStart;
+  opt::IncrementalProjectorOptions incremental_options;
+  incremental_options.projection = options_.projection;
+  incremental_options.resync_period =
+      options_.reprojection == ReprojectionMode::kFull ? 1
+                                                       : kWarmResyncPeriod;
+  incremental_options.adaptive_brackets =
+      options_.reprojection_adaptive_brackets;
   opt::IncrementalProjector incremental;
-  if (warm_start) {
-    opt::IncrementalProjectorOptions incremental_options;
-    incremental_options.projection = options_.projection;
-    incremental_options.resync_period = options_.reprojection_resync_period;
-    incremental_options.adaptive_brackets =
-        options_.reprojection_adaptive_brackets;
-    incremental.Bind(normalized_data, incremental_options, pool);
-    incremental.SetFusedAccumulators(workspace->fused_segments(),
-                                     kFitSegmentRows);
-    if (warm_seed != nullptr && warm_seed->scores.size() == n) {
-      // Per-row warm seed: the first in-loop projection refines each row
-      // locally around the live model's s* instead of running the cold
-      // full search — the heart of the streaming tier's cheap refresh.
-      incremental.ImportState(warm_seed->scores, control);
-    }
+  incremental.Bind(normalized_data, incremental_options, pool);
+  incremental.SetFusedAccumulators(workspace->fused_segments(),
+                                   kFitSegmentRows);
+  if (warm_seed != nullptr && warm_seed->scores.size() == n) {
+    // Per-row warm seed: the first in-loop projection refines each row
+    // locally around the live model's s* instead of running the cold full
+    // search — the heart of the streaming tier's cheap refresh. (Inert
+    // under kFull, whose every pass is a full one.)
+    incremental.ImportState(warm_seed->scores, control);
   }
 
+  // Are the scores in hand the full global search's projections of the
+  // current bezier? True after a full pass (every kFull pass, a kWarmStart
+  // resync, kGridOnly always) and tracked through a rollback, so the final
+  // verification below runs only when it would measure something new.
+  bool scores_are_full = false;
+  bool previous_scores_full = false;
+
   int iter = 0;
-  bool rolled_back = false;
   for (; iter < options_.max_iterations; ++iter) {
     // Step 4: projection indices s^(t) (GSS or the quintic alternative),
-    // fanned out across the pool by the batch engine — or warm-started from
-    // the previous iteration's s* by the incremental projector (which
-    // writes into the same score buffer every iteration).
+    // fanned out across the pool and written into the same score buffer
+    // every iteration.
     const auto projection_start = std::chrono::steady_clock::now();
-    if (warm_start) {
-      incremental.ProjectInto(bezier, &scores, &j_current);
-    } else {
-      scores = opt::ProjectRowsBatchFused(
-          bezier, normalized_data, options_.projection, pool,
-          workspace->fused_segments(), kFitSegmentRows, &j_current);
-    }
+    incremental.ProjectInto(bezier, &scores, &j_current);
+    scores_are_full = incremental.last_was_full();
     const auto projection_end = std::chrono::steady_clock::now();
     projection_seconds += SecondsBetween(projection_start, projection_end);
     if (options_.trace_id != 0) {
@@ -349,12 +355,12 @@ Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
         // sequence is the accepted, non-increasing one (Proposition 2).
         control = previous_control;
         scores = previous_scores;
+        scores_are_full = previous_scores_full;
         j_current = j_previous;
         bezier.SetControlPoints(control);
         if (options_.record_history && !result.j_history.empty()) {
           result.j_history.pop_back();
         }
-        rolled_back = true;
         break;
       }
       if (delta < options_.tolerance) {
@@ -365,6 +371,7 @@ Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
     j_previous = j_current;
     previous_control = control;
     previous_scores = scores;
+    previous_scores_full = scores_are_full;
 
     // Step 5: control-point update, allocation-free in steady state. The
     // projection pass above already streamed every (s_i, x_i) into the
@@ -399,14 +406,6 @@ Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
                     ToTraceNs(update_end));
     }
   }
-
-  // Are the scores in hand the full global search's projections of the
-  // current bezier? Always for kFull; for warm start only when the loop's
-  // last projection was a full pass (resync iteration, or kGridOnly which
-  // always runs full) and no rollback replaced them with an older call's
-  // output.
-  bool scores_are_full = !warm_start ||
-                         (!rolled_back && incremental.last_was_full());
 
   // The loop exhausting max_iterations leaves the last Step 5 update
   // unvetted: `scores`/`j_current` describe the pre-update curve while
@@ -444,8 +443,8 @@ Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
   // projection, so the reported scores and J come from the same global
   // search as ReprojectionMode::kFull whatever mix of local refinements and
   // fallbacks the trajectory used — skipped when the scores in hand already
-  // are that (no redundant O(n) pass). Also covers max_iterations == 0,
-  // where the loop never projected at all.
+  // are that (always under kFull: no redundant O(n) pass). Also covers
+  // max_iterations == 0, where the loop never projected at all.
   if (!scores_are_full || scores.size() == 0) {
     const auto final_start = std::chrono::steady_clock::now();
     scores = opt::ProjectRowsBatch(bezier, normalized_data,

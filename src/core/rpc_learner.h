@@ -18,28 +18,32 @@ namespace rpc::core {
 class FitWorkspace;
 
 /// How Step 4 (re-projection of all n rows) is executed across outer
-/// iterations.
+/// iterations. Both modes run on the same engine
+/// (opt::IncrementalProjector, with the Step 5 normal-equation
+/// accumulation fused into its row sweep); they differ only in how often
+/// it resyncs, i.e. runs the full global search for every row.
 enum class ReprojectionMode {
-  /// Every iteration re-projects every row from scratch: coarse grid over
-  /// the whole of [0, 1] plus per-bracket refinement. Today's behaviour and
-  /// the reference the warm-start path is validated against.
+  /// Resync on every iteration: each row is re-projected from scratch —
+  /// coarse grid over the whole of [0, 1] plus per-bracket refinement — so
+  /// every pass equals opt::ProjectRowsBatch bit for bit. The reference
+  /// the warm-start path is validated against.
   kFull,
-  /// Warm-started incremental re-projection (opt::IncrementalProjector):
-  /// after the first iteration each row is refined locally around its
-  /// previous s* — near convergence the curve barely moves, so the optimal
-  /// s* shifts only slightly per iteration (Eq. 19-20). A row falls back to
-  /// the full global search when its local result is suspect (bracket-edge
-  /// argmin, or squared distance above the certified curve-movement bound),
-  /// and every `reprojection_resync_period`-th iteration re-projects all
-  /// rows globally as a safety resync. On convergence the final scores and
-  /// J always come from one last full projection (skipped only when the
-  /// last in-loop pass already was one), so the reported fit quality is
-  /// measured exactly like kFull. Mid-trajectory J values are warm-measured
-  /// upper bounds on the full-search J (within the certified-fallback
-  /// slack), so convergence/rollback decisions can differ from kFull's by
-  /// that slack. Multi-x faster on large n for the refining methods
-  /// (kGridOnly has nothing to localise and runs full passes); final J
-  /// matches kFull within `tolerance` on the paper's fixtures.
+  /// Warm-started incremental re-projection: after the first iteration
+  /// each row is refined locally around its previous s* — near convergence
+  /// the curve barely moves, so the optimal s* shifts only slightly per
+  /// iteration (Eq. 19-20). A row falls back to the full global search when
+  /// its local result is suspect (bracket-edge argmin, or squared distance
+  /// above the certified curve-movement bound), and every 8th iteration
+  /// re-projects all rows globally as a safety resync. On convergence the
+  /// final scores and J always come from one last full projection (skipped
+  /// only when the scores in hand already come from one), so the reported
+  /// fit quality is measured exactly like kFull. Mid-trajectory J values
+  /// are warm-measured upper bounds on the full-search J (within the
+  /// certified-fallback slack), so convergence/rollback decisions can
+  /// differ from kFull's by that slack. Multi-x faster on large n for the
+  /// refining methods (kGridOnly has nothing to localise and runs full
+  /// passes); final J matches kFull within `tolerance` on the paper's
+  /// fixtures.
   kWarmStart,
 };
 
@@ -65,18 +69,12 @@ struct RpcLearnOptions {
   double tolerance = 1e-7;
   /// Projection solver (Step 4): GSS by default.
   opt::ProjectionOptions projection;
-  /// Step 4 execution strategy: kFull re-projects from scratch each
-  /// iteration; kWarmStart reuses each row's previous s* (see
-  /// ReprojectionMode). Default off — results are equivalent but not
-  /// bit-identical mid-trajectory, so opt in where fit time matters.
+  /// Step 4 resync cadence: kFull re-projects every row from scratch each
+  /// iteration; kWarmStart reuses each row's previous s* and resyncs every
+  /// 8th iteration (see ReprojectionMode). Default kFull — warm-start
+  /// results are equivalent but not bit-identical mid-trajectory, so opt in
+  /// where fit time matters.
   ReprojectionMode reprojection = ReprojectionMode::kFull;
-  /// Resync heuristic for kWarmStart: every `reprojection_resync_period`-th
-  /// iteration runs the full global search for every row, bounding how long
-  /// a row can track a stale local minimum; between resyncs only suspect
-  /// rows (bracket-edge argmin or a squared distance above the certified
-  /// curve-movement bound) pay for the global search. <= 1 resyncs every
-  /// iteration (kFull behaviour at kFull cost).
-  int reprojection_resync_period = 8;
   /// Adaptive warm-start brackets (kWarmStart only): shrink each row's
   /// bracket from its observed per-iteration s* drift and skip the bracket
   /// probe entirely for rows whose drift is below tolerance (see

@@ -59,66 +59,6 @@ Vector ProjectRowsBatch(const BezierCurve& curve, const Matrix& data,
   return scores;
 }
 
-Vector ProjectRowsBatchFused(
-    const BezierCurve& curve, const Matrix& data,
-    const ProjectionOptions& options, ThreadPool* pool,
-    std::vector<curve::BernsteinDesignAccumulator>* segments,
-    int segment_rows, double* total_squared_distance) {
-  assert(data.cols() == curve.dimension() || data.rows() == 0);
-  assert(segments != nullptr && segment_rows >= 1);
-  const int n = data.rows();
-  const std::int64_t num_segments =
-      n == 0 ? 0 : (n + segment_rows - 1) / segment_rows;
-  assert(static_cast<size_t>(num_segments) <= segments->size());
-  Vector scores(n);
-  std::vector<double> squared(static_cast<size_t>(n));
-
-  const int parallelism = pool != nullptr ? pool->parallelism() : 1;
-  std::vector<ProjectionWorkspace> workspaces(static_cast<size_t>(
-      parallelism <= 1 || num_segments <= 1 ? 1 : parallelism));
-  for (ProjectionWorkspace& w : workspaces) w.Bind(curve, options);
-
-  // One worker owns one whole segment: its accumulator is filled by a
-  // single in-order row sweep, so the later segment-ordered merge matches
-  // the serial sweep bit for bit whatever the thread count.
-  const auto run_segment = [&](std::int64_t segment, int worker) {
-    curve::BernsteinDesignAccumulator& acc =
-        (*segments)[static_cast<size_t>(segment)];
-    acc.Reset();
-    ProjectionWorkspace& workspace = workspaces[static_cast<size_t>(worker)];
-    const std::int64_t begin = segment * segment_rows;
-    const std::int64_t end = std::min<std::int64_t>(n, begin + segment_rows);
-    // Block-projected scores, then the same in-order row sweep into the
-    // segment's accumulator the per-row loop ran — the segment-ordered
-    // merge contract only cares that rows accumulate in order.
-    workspace.ProjectBlock(data.RowPtr(static_cast<int>(begin)),
-                           static_cast<int>(end - begin), data.cols(),
-                           scores.data().data() + begin,
-                           squared.data() + begin);
-    for (std::int64_t i = begin; i < end; ++i) {
-      acc.AccumulateRow(scores[static_cast<int>(i)],
-                        data.RowPtr(static_cast<int>(i)));
-    }
-  };
-  if (workspaces.size() == 1) {
-    for (std::int64_t seg = 0; seg < num_segments; ++seg) run_segment(seg, 0);
-  } else {
-    pool->ParallelFor(num_segments, /*grain=*/1,
-                      [&](std::int64_t begin, std::int64_t end, int worker) {
-                        for (std::int64_t seg = begin; seg < end; ++seg) {
-                          run_segment(seg, worker);
-                        }
-                      });
-  }
-
-  if (total_squared_distance != nullptr) {
-    double total = 0.0;
-    for (int i = 0; i < n; ++i) total += squared[static_cast<size_t>(i)];
-    *total_squared_distance = total;
-  }
-  return scores;
-}
-
 std::vector<Vector> ProjectRowsBatchMultiCurve(
     const std::vector<const BezierCurve*>& curves, const Matrix& data,
     const ProjectionOptions& options, ThreadPool* pool,

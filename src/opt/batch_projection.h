@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "curve/bernstein.h"
 #include "curve/bezier.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
@@ -31,24 +30,6 @@ linalg::Vector ProjectRowsBatch(const curve::BezierCurve& curve,
                                 const ProjectionOptions& options,
                                 ThreadPool* pool,
                                 double* total_squared_distance = nullptr);
-
-/// ProjectRowsBatch fused with the Step 5 normal-equation accumulation:
-/// each projected row (s_i, x_i) is streamed straight into the
-/// curve::BernsteinDesignAccumulator of its fixed `segment_rows`-row
-/// segment, saving the separate O(n) accumulation sweep the fit loop would
-/// otherwise run over the same rows one stage later. The unit of parallel
-/// work is one segment — exactly one worker fills each accumulator,
-/// sweeping its rows in order — so merging the segments in segment order
-/// afterwards reproduces the separate sweep (and any thread count
-/// reproduces any other) bit for bit. `segments` must hold at least
-/// ceil(n / segment_rows) accumulators already Bind()-ed to the curve's
-/// degree/dimension; each is Reset() before filling. Scores and J carry
-/// the exact ProjectRowsBatch guarantees.
-linalg::Vector ProjectRowsBatchFused(
-    const curve::BezierCurve& curve, const linalg::Matrix& data,
-    const ProjectionOptions& options, ThreadPool* pool,
-    std::vector<curve::BernsteinDesignAccumulator>* segments,
-    int segment_rows, double* total_squared_distance = nullptr);
 
 /// Batch-of-curves evaluation: projects every row of `data` onto each of
 /// the M `curves` in one sweep. Each RowBlock of rows is transposed into

@@ -60,23 +60,12 @@ void ProjectionWorkspace::Bind(const BezierCurve& curve,
   const int d = curve.dimension();
   const int g = std::max(options.grid_points, 2);
   grid_dist_.resize(static_cast<size_t>(g) + 1);
-  // Hodograph + second derivative: kNewton's solver needs them, as does the
-  // warm-start ProjectLocal refinement for every refining method — but a
-  // global-search-only bind (the kFull hot path rebinding every outer
-  // iteration) should not pay for curves it never evaluates.
-  if (options.method == ProjectionMethod::kNewton ||
-      options.enable_local_refinement) {
-    // In-place rebinds: the warm-start engine re-Binds every outer
-    // iteration, so the hodograph state must reuse its buffers rather than
-    // reallocate (the steady-state zero-allocation contract).
-    curve.DerivativeCurveInto(&hodograph_);
-    hodograph_.DerivativeCurveInto(&second_);
-    hodograph_eval_.Bind(hodograph_);
-    second_eval_.Bind(second_);
-    deriv_.resize(static_cast<size_t>(d));
-    curvature_.resize(static_cast<size_t>(d));
-    point_.resize(static_cast<size_t>(d));
-  }
+  // Hodograph + second derivative: kNewton's global solver needs them now;
+  // the other methods need them only for the warm-start local refinement,
+  // which derives them on first use — a global-search-only bind (every
+  // full re-projection pass, every serving bind) never pays for them.
+  derivatives_ready_ = false;
+  if (options.method == ProjectionMethod::kNewton) EnsureDerivativeCurves();
   if (options.method == ProjectionMethod::kQuinticRoots) {
     curve.PowerBasisCoefficientsInto(&power_);
     stationarity_coeffs_.resize(static_cast<size_t>(2 * curve.degree()));
@@ -98,6 +87,22 @@ void ProjectionWorkspace::Bind(const BezierCurve& curve,
   }
   grid_f_ready_ = false;
   ResetEvaluationCounts();
+}
+
+void ProjectionWorkspace::EnsureDerivativeCurves() {
+  if (derivatives_ready_) return;
+  // In-place rebinds: the warm-start engine re-Binds every outer
+  // iteration, so the hodograph state must reuse its buffers rather than
+  // reallocate (the steady-state zero-allocation contract).
+  curve_->DerivativeCurveInto(&hodograph_);
+  hodograph_.DerivativeCurveInto(&second_);
+  hodograph_eval_.Bind(hodograph_);
+  second_eval_.Bind(second_);
+  const size_t d = static_cast<size_t>(curve_->dimension());
+  deriv_.resize(d);
+  curvature_.resize(d);
+  point_.resize(d);
+  derivatives_ready_ = true;
 }
 
 void ProjectionWorkspace::ResetEvaluationCounts() {
@@ -317,8 +322,7 @@ ProjectionResult ProjectionWorkspace::ProjectLocal(const double* x, double lo,
   // Grid-only has no refinement stage to localise; a warm start degenerates
   // to the full grid argmin.
   if (options_.method == ProjectionMethod::kGridOnly) return Project(x);
-  // Requires a bind with kNewton or enable_local_refinement set.
-  assert(hodograph_eval_.bound());
+  EnsureDerivativeCurves();
   lo = std::clamp(lo, 0.0, 1.0);
   hi = std::clamp(hi, 0.0, 1.0);
   assert(hi > lo);
@@ -368,7 +372,7 @@ ProjectionResult ProjectionWorkspace::ProjectSeeded(const double* x,
   // Grid-only has no refinement stage; degenerate to the full grid argmin,
   // exactly like ProjectLocal.
   if (options_.method == ProjectionMethod::kGridOnly) return Project(x);
-  assert(hodograph_eval_.bound());
+  EnsureDerivativeCurves();
   lo = std::clamp(lo, 0.0, 1.0);
   hi = std::clamp(hi, 0.0, 1.0);
   assert(hi > lo);

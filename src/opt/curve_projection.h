@@ -37,12 +37,6 @@ struct ProjectionOptions {
   /// Bracket-width tolerance for Golden Section refinement and root
   /// tolerance for kQuinticRoots.
   double tol = 1e-10;
-  /// Build the hodograph / second-derivative state ProjectLocal's Newton
-  /// refinement needs even when `method` is not kNewton. Set by
-  /// IncrementalProjector for its warm-start workspaces; leave off for
-  /// global-search-only binds so ProjectRowsBatch's per-iteration rebinds
-  /// stay as cheap as before.
-  bool enable_local_refinement = false;
 };
 
 struct ProjectionResult {
@@ -65,11 +59,14 @@ struct ProjectionResult {
 ///
 /// Bind() hoists all per-curve work out of the per-point loop — the Bezier
 /// evaluation workspace (with its cubic Horner fast path), the grid scratch,
-/// the hodograph / second-derivative curves (kNewton and the warm-start
-/// local refinement), and the power-basis coefficients of the stationarity
-/// polynomial (kQuinticRoots). After the Bind, Project() and ProjectLocal()
-/// are heap-allocation-free for every method — kQuinticRoots runs its Sturm
-/// root isolation inside a fixed-capacity PolynomialRootWorkspace.
+/// the hodograph / second-derivative curves (kNewton), and the power-basis
+/// coefficients of the stationarity polynomial (kQuinticRoots). The other
+/// methods derive the hodograph state on the first ProjectLocal() /
+/// ProjectSeeded() call after each Bind, so global-search-only binds never
+/// pay for it. Once a workspace's buffers have settled, Project() and
+/// ProjectLocal() are heap-allocation-free for every method — kQuinticRoots
+/// runs its Sturm root isolation inside a fixed-capacity
+/// PolynomialRootWorkspace.
 ///
 /// One workspace per thread: Project() mutates the scratch, so workspaces
 /// must not be shared across concurrent callers (see ProjectRowsBatch).
@@ -133,10 +130,10 @@ class ProjectionWorkspace {
   /// edge that is not a domain boundary — the true minimiser may then lie
   /// outside the bracket and the caller (IncrementalProjector) must fall
   /// back to the global Project(). kGridOnly has no refinement stage, so
-  /// this method delegates straight to Project() for it. Requires a Bind
-  /// with kNewton or ProjectionOptions::enable_local_refinement set (the
-  /// Newton step reads the hodograph state). No global guarantees; same
-  /// sup tie-break as Project within the bracket.
+  /// this method delegates straight to Project() for it. Works after any
+  /// Bind: the first call derives the hodograph state the Newton step
+  /// reads, unless the bind already did (kNewton). No global guarantees;
+  /// same sup tie-break as Project within the bracket.
   ProjectionResult ProjectLocal(const double* x, double lo, double hi,
                                 bool* hit_edge);
 
@@ -147,7 +144,7 @@ class ProjectionWorkspace {
   /// a couple of evaluations instead of ProjectLocal's probe. There is no
   /// edge detection; the caller must guard the result with the certified
   /// curve-movement distance bound and fall back to Project() when it
-  /// fails. Same bind requirements and sup tie-break as ProjectLocal.
+  /// fails. Same lazy hodograph state and sup tie-break as ProjectLocal.
   ProjectionResult ProjectSeeded(const double* x, double seed, double lo,
                                  double hi);
 
@@ -205,6 +202,9 @@ class ProjectionWorkspace {
   /// Fills grid_f_ (f(s_g) for every grid point, lazily, once per Bind) for
   /// the block path's shared-curve-value kernels.
   void EnsureGridCurveValues();
+  /// Derives the hodograph / second-derivative state (lazily, once per
+  /// Bind) the Newton refinement reads.
+  void EnsureDerivativeCurves();
   /// Safeguarded Newton on g(s) = f'(s).(x - f(s)) over [lo, hi], seeded at
   /// the midpoint; the shared refinement core of kNewton and ProjectLocal.
   double NewtonRefine(const double* x, double lo, double hi,
@@ -216,8 +216,8 @@ class ProjectionWorkspace {
   ProjectionOptions options_;
   curve::BezierEvalWorkspace eval_;
 
-  // Hodograph and second derivative, built per Bind: kNewton's solver and
-  // the warm-start local refinement both need them.
+  // Hodograph and second derivative: built by Bind for kNewton's solver,
+  // otherwise on the first warm-start local refinement after a Bind.
   curve::BezierCurve hodograph_;
   curve::BezierCurve second_;
   curve::BezierEvalWorkspace hodograph_eval_;
@@ -245,6 +245,7 @@ class ProjectionWorkspace {
   std::vector<double> grid_f_;
   std::vector<double> grid_dist_block_;
   bool grid_f_ready_ = false;
+  bool derivatives_ready_ = false;
 
   /// Where a lock-step Golden Section task is in its search (see
   /// RefineGoldenBlock): the initial probes (c then d), the per-iteration

@@ -13,6 +13,23 @@ using linalg::Vector;
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Warm-start bracket half-width, in global grid cells (1 / grid_points):
+// the cell size the full search refines, so a minimiser drifting less than
+// one cell per iteration stays inside the bracket.
+constexpr double kBracketCells = 1.0;
+// Adaptive brackets: half-width = clamp(kBracketDriftFactor * drift,
+// kMinBracketCells, kBracketCells) cells ...
+constexpr double kBracketDriftFactor = 4.0;
+constexpr double kMinBracketCells = 0.25;
+// ... and rows whose last observed s* drift is at or below this skip the
+// bracket probe altogether.
+constexpr double kDriftSkipTol = 1e-8;
+
+// Units of work per worker when no fused accumulators fix the
+// segmentation: enough slack for dynamic load balancing, few enough that
+// dispatch stays negligible next to the projections.
+constexpr int kUnitsPerWorker = 4;
 }  // namespace
 
 void IncrementalProjector::Bind(const Matrix& data,
@@ -20,11 +37,6 @@ void IncrementalProjector::Bind(const Matrix& data,
                                 ThreadPool* pool) {
   data_ = &data;
   options_ = options;
-  // Warm-started calls refine via ProjectLocal's Newton step, which needs
-  // the hodograph state whatever the configured method — except kGridOnly,
-  // whose ProjectLocal delegates straight to the global search.
-  options_.projection.enable_local_refinement =
-      options.projection.method != ProjectionMethod::kGridOnly;
   pool_ = pool;
   const int parallelism =
       pool != nullptr ? std::max(pool->parallelism(), 1) : 1;
@@ -141,53 +153,37 @@ void IncrementalProjector::ProjectInto(const BezierCurve& curve,
 
   const int parallelism = static_cast<int>(workspaces_.size());
   std::fill(counter_slots_.begin(), counter_slots_.end(), RangeCounters());
-  if (fused_segments_ != nullptr && n > 0) {
-    // Fused Step 5 accumulation: the unit of work is one fixed-size row
-    // segment, so exactly one worker fills each segment's accumulator,
-    // sweeping its rows in order — the ordered-reduction determinism
-    // contract — while also writing the ordinary projection outputs.
-    const std::int64_t num_segments =
-        (n + fused_segment_rows_ - 1) / fused_segment_rows_;
-    assert(static_cast<size_t>(num_segments) <= fused_segments_->size());
-    const auto run_segment = [&](std::int64_t segment, int worker) {
-      curve::BernsteinDesignAccumulator& acc =
-          (*fused_segments_)[static_cast<size_t>(segment)];
-      acc.Reset();
-      const std::int64_t begin = segment * fused_segment_rows_;
-      const std::int64_t end =
-          std::min<std::int64_t>(n, begin + fused_segment_rows_);
-      ProjectRange(&workspaces_[static_cast<size_t>(worker)], full, delta,
-                   begin, end, scores.data().data(), squared_.data(),
-                   &counter_slots_[static_cast<size_t>(worker)], &acc);
-    };
-    if (parallelism <= 1 || num_segments <= 1) {
-      for (std::int64_t seg = 0; seg < num_segments; ++seg) {
-        run_segment(seg, 0);
-      }
-    } else {
-      pool_->ParallelFor(num_segments, /*grain=*/1,
-                         [&](std::int64_t begin, std::int64_t end,
+  // One partition loop: units of contiguous rows, each swept in order by
+  // one worker. With fused Step 5 accumulation the units are the
+  // accumulators' fixed-size segments, so exactly one worker fills each
+  // segment — the ordered-reduction determinism contract.
+  const bool fused = fused_segments_ != nullptr;
+  const std::int64_t unit_rows =
+      fused ? fused_segment_rows_
+            : std::max<std::int64_t>(
+                  1, (n + kUnitsPerWorker * parallelism - 1) /
+                         (kUnitsPerWorker * parallelism));
+  const std::int64_t num_units = (n + unit_rows - 1) / unit_rows;
+  assert(!fused || static_cast<size_t>(num_units) <= fused_segments_->size());
+  const auto run_units = [&](std::int64_t first, std::int64_t last,
                              int worker) {
-                           for (std::int64_t seg = begin; seg < end; ++seg) {
-                             run_segment(seg, worker);
-                           }
-                         });
+    for (std::int64_t unit = first; unit < last; ++unit) {
+      curve::BernsteinDesignAccumulator* acc = nullptr;
+      if (fused) {
+        acc = &(*fused_segments_)[static_cast<size_t>(unit)];
+        acc->Reset();
+      }
+      const std::int64_t begin = unit * unit_rows;
+      ProjectRange(&workspaces_[static_cast<size_t>(worker)], full, delta,
+                   begin, std::min<std::int64_t>(n, begin + unit_rows),
+                   scores.data().data(), squared_.data(),
+                   &counter_slots_[static_cast<size_t>(worker)], acc);
     }
-  } else if (parallelism <= 1 || n < 2) {
-    ProjectRange(&workspaces_[0], full, delta, 0, n, scores.data().data(),
-                 squared_.data(), &counter_slots_[0], nullptr);
+  };
+  if (parallelism <= 1 || num_units <= 1) {
+    run_units(0, num_units, 0);
   } else {
-    // Same chunking as ProjectRowsBatch: ~4 chunks per worker. The
-    // per-worker counters live in the bound counter_slots_ buffer so the
-    // steady-state pass stays allocation-free.
-    const std::int64_t grain = std::max<std::int64_t>(
-        1, (n + 4 * parallelism - 1) / (4 * parallelism));
-    pool_->ParallelFor(
-        n, grain, [&](std::int64_t begin, std::int64_t end, int worker) {
-          ProjectRange(&workspaces_[static_cast<size_t>(worker)], full, delta,
-                       begin, end, scores.data().data(), squared_.data(),
-                       &counter_slots_[static_cast<size_t>(worker)], nullptr);
-        });
+    pool_->ParallelFor(num_units, /*grain=*/1, run_units);
   }
   std::int64_t fallbacks = 0;
   std::int64_t probe_skips = 0;
@@ -237,9 +233,8 @@ void IncrementalProjector::ProjectRange(
     return;
   }
   const int g = std::max(options_.projection.grid_points, 2);
-  const double default_half = options_.bracket_cells / g;
-  const double min_half =
-      std::min(default_half, options_.min_bracket_cells / g);
+  const double default_half = kBracketCells / g;
+  const double min_half = kMinBracketCells / g;
   for (std::int64_t i = begin; i < end; ++i) {
     const double* x = data.RowPtr(static_cast<int>(i));
     const double s_prev = s_[static_cast<size_t>(i)];
@@ -256,7 +251,7 @@ void IncrementalProjector::ProjectRange(
           std::sqrt(dist_[static_cast<size_t>(i)]) + delta;
       const bool adaptive =
           options_.adaptive_brackets && std::isfinite(drift);
-      if (adaptive && drift <= options_.drift_skip_tol) {
+      if (adaptive && drift <= kDriftSkipTol) {
         // Settled row: skip the bracket probe, Newton-refine straight from
         // the previous s* on the floor-width bracket. The refinement
         // walking to a bracket edge that is not a domain boundary means
@@ -279,7 +274,7 @@ void IncrementalProjector::ProjectRange(
         }
       } else {
         const double half =
-            adaptive ? std::clamp(options_.bracket_drift_factor * drift,
+            adaptive ? std::clamp(kBracketDriftFactor * drift,
                                   min_half, default_half)
                      : default_half;
         const double lo = std::max(0.0, s_prev - half);

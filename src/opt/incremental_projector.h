@@ -20,33 +20,21 @@ struct IncrementalProjectorOptions {
   /// always the first) runs the full global search for every row, so a row
   /// whose warm-started local refinement silently tracked the wrong local
   /// minimum is repaired within a bounded number of iterations. Values
-  /// <= 1 resync on every call (degenerating to the full path).
+  /// <= 1 resync on every call: the plain full re-projection engine
+  /// (core::ReprojectionMode::kFull).
   int resync_period = 8;
-  /// Half-width of the warm-start bracket around each row's previous s*,
-  /// in units of one global grid cell (1 / projection.grid_points). The
-  /// default mirrors the cell size the full search refines, so a minimiser
-  /// drifting less than one cell per iteration stays inside the bracket.
-  double bracket_cells = 1.0;
-  /// Adaptive warm-start brackets: shrink each row's bracket from its
-  /// observed per-iteration s* drift instead of always probing the full
-  /// `bracket_cells` half-width, and skip the bracket probe entirely
+  /// Adaptive warm-start brackets: shrink each row's bracket (half-width
+  /// one global grid cell, 1 / projection.grid_points) from its observed
+  /// per-iteration s* drift, and skip the bracket probe entirely
   /// (ProjectionWorkspace::ProjectSeeded — no interior grid, straight to
   /// the safeguarded Newton refinement guarded by the certified distance
-  /// bound) for rows whose drift has fallen below `drift_skip_tol`. Near
-  /// convergence most rows barely move, so this is the main lever on the
-  /// streaming tier's warm-refresh cost. Off by default: the trajectory it
-  /// produces is equivalent (same fallback safety net, same final full
-  /// verification in the learner) but not bit-identical to the fixed
-  /// bracket, so callers opt in where refresh latency matters.
+  /// bound) for rows whose drift has all but vanished. Near convergence
+  /// most rows barely move, so this is the main lever on the streaming
+  /// tier's warm-refresh cost. Off by default: the trajectory it produces
+  /// is equivalent (same fallback safety net, same final full verification
+  /// in the learner) but not bit-identical to the fixed bracket, so callers
+  /// opt in where refresh latency matters.
   bool adaptive_brackets = false;
-  /// Adaptive bracket half-width = clamp(bracket_drift_factor * drift,
-  /// min_bracket_cells / grid, bracket_cells / grid).
-  double bracket_drift_factor = 4.0;
-  /// Floor of the adaptive bracket, in grid cells.
-  double min_bracket_cells = 0.25;
-  /// Rows whose last observed s* drift is at or below this skip the
-  /// bracket probe (see adaptive_brackets).
-  double drift_skip_tol = 1e-8;
 };
 
 /// Stateful re-projection engine for Step 4 of Algorithm 1: owns per-row
@@ -68,6 +56,9 @@ struct IncrementalProjectorOptions {
 ///     max_r |p_r^t - p_r^{t-1}|), or
 ///   * the call is a periodic safety resync (`resync_period`).
 ///
+/// With `resync_period <= 1` every call is a full pass, which makes the
+/// projector the single Step 4 engine of both reprojection modes.
+///
 /// Warm-start state can be exported after a fit and re-imported before the
 /// next one (ImportState/ExportState): the streaming tier seeds a model
 /// refresh with the live model's per-row s* so the refreshed fit starts
@@ -80,12 +71,14 @@ struct IncrementalProjectorOptions {
 /// Fused accumulation (SetFusedAccumulators): the Step 5 normal equations
 /// need every (s_i, x_i) pair the projection just produced, and the
 /// separate accumulation sweep re-reads the whole dataset one iteration
-/// later. When fused accumulators are attached, ProjectInto streams each
-/// projected row straight into its fixed-size segment's
-/// curve::BernsteinDesignAccumulator — one worker owns one segment and
-/// sweeps its rows in order, so merging the segments in segment order
-/// afterwards (core::FitWorkspace::ReduceFusedSegments) reproduces the
-/// separate sweep bit for bit — saving one O(n) pass per outer iteration.
+/// later. ProjectInto's unit of parallel work is a contiguous run of rows
+/// that one worker sweeps in order; when fused accumulators are attached
+/// the units are exactly the accumulators' fixed-size segments, and each
+/// projected row streams straight into its segment's
+/// curve::BernsteinDesignAccumulator — so merging the segments in segment
+/// order afterwards (core::FitWorkspace::ReduceFusedSegments) reproduces
+/// the separate sweep bit for bit, saving one O(n) pass per outer
+/// iteration.
 ///
 /// Determinism: per-row results depend only on that row's own state, the
 /// reduction of J runs in row order, and the fallback counter is summed per

@@ -1,11 +1,11 @@
 // Asserts the fit pipeline's steady-state contract: once the persistent
 // workspaces are bound and the first (allocating) iteration has settled
-// every buffer, a full outer iteration — warm-started projection, streaming
+// every buffer, a full outer iteration — projection with the fused
 // normal-equation accumulation, control-point update, constraint clamping
 // and the in-place curve rebind — performs zero heap allocations, for both
-// the Richardson (Eq. 27) and pseudo-inverse (Eq. 26) update rules and
-// through a periodic full-projection resync. Same instrumented
-// operator-new pattern as tests/opt/projection_allocation_test.cc.
+// the Richardson (Eq. 27) and pseudo-inverse (Eq. 26) update rules, under
+// both reprojection modes' resync cadences. Same instrumented operator-new
+// pattern as tests/opt/projection_allocation_test.cc.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -70,14 +70,15 @@ Matrix MonotoneCubicControl(int d, uint64_t seed) {
 }
 
 // One steady-state outer iteration, mirroring RpcLearner::FitOnce's loop
-// body: Step 4 through the warm-start engine, Step 5 through the workspace,
+// body: Step 4 through the projector (streaming every row into the
+// workspace's fused segment accumulators), Step 5 through the workspace,
 // Proposition 1 clamping, in-place curve rebind.
-void OuterIteration(const Matrix& data, opt::IncrementalProjector* projector,
+void OuterIteration(opt::IncrementalProjector* projector,
                     FitWorkspace* workspace,
                     const ControlUpdateOptions& options, Vector* scores,
                     Matrix* control, BezierCurve* bezier, double* j) {
   projector->ProjectInto(*bezier, scores, j);
-  workspace->AccumulateNormalEquations(data, *scores, nullptr);
+  workspace->ReduceFusedSegments();
   const Status status = workspace->UpdateControlPoints(options, control);
   ASSERT_TRUE(status.ok()) << status.ToString();
   const int d = control->rows();
@@ -97,48 +98,56 @@ TEST(FitAllocationTest, SteadyStateOuterIterationIsAllocationFree) {
   const int d = 4;
   const Matrix data = UnitData(n, d, 7);
 
-  for (const bool use_pinv : {false, true}) {
-    Matrix control = MonotoneCubicControl(d, 8);
-    BezierCurve bezier(control);
+  // Period 3 puts a full-projection resync inside the measured window, so
+  // both the warm and the full Step 4 paths are covered; period 1 is the
+  // kFull engine, a full pass on every call.
+  for (const int resync_period : {3, 1}) {
+    for (const bool use_pinv : {false, true}) {
+      Matrix control = MonotoneCubicControl(d, 8);
+      BezierCurve bezier(control);
 
-    opt::IncrementalProjectorOptions projector_options;
-    // Period 3 puts a full-projection resync inside the measured window, so
-    // both the warm and the full Step 4 paths are covered.
-    projector_options.resync_period = 3;
-    opt::IncrementalProjector projector;
-    projector.Bind(data, projector_options, /*pool=*/nullptr);
+      opt::IncrementalProjectorOptions projector_options;
+      projector_options.resync_period = resync_period;
+      opt::IncrementalProjector projector;
+      projector.Bind(data, projector_options, /*pool=*/nullptr);
 
-    FitWorkspace workspace;
-    workspace.Bind(n, d, /*degree=*/3);
+      FitWorkspace workspace;
+      workspace.Bind(n, d, /*degree=*/3);
+      projector.SetFusedAccumulators(workspace.fused_segments(),
+                                     kFitSegmentRows);
 
-    ControlUpdateOptions update_options;
-    update_options.use_pseudo_inverse_update = use_pinv;
+      ControlUpdateOptions update_options;
+      update_options.use_pseudo_inverse_update = use_pinv;
 
-    Vector scores;
-    double j = 0.0;
-    // Two settling iterations: the first call allocates the score buffer
-    // and the projector's per-curve state; afterwards every buffer is
-    // capacity-stable.
-    OuterIteration(data, &projector, &workspace, update_options, &scores,
-                   &control, &bezier, &j);
-    OuterIteration(data, &projector, &workspace, update_options, &scores,
-                   &control, &bezier, &j);
-
-    const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int iter = 0; iter < 6; ++iter) {
-      OuterIteration(data, &projector, &workspace, update_options, &scores,
+      Vector scores;
+      double j = 0.0;
+      // Two settling iterations: the first call allocates the score buffer
+      // and the projector's per-curve state; afterwards every buffer is
+      // capacity-stable.
+      OuterIteration(&projector, &workspace, update_options, &scores,
                      &control, &bezier, &j);
+      OuterIteration(&projector, &workspace, update_options, &scores,
+                     &control, &bezier, &j);
+
+      const std::int64_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      for (int iter = 0; iter < 6; ++iter) {
+        OuterIteration(&projector, &workspace, update_options, &scores,
+                       &control, &bezier, &j);
+      }
+      const std::int64_t after =
+          g_allocations.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0)
+          << (use_pinv ? "pseudo-inverse" : "Richardson")
+          << " update, resync period " << resync_period
+          << ", allocated in steady state (J " << j << ")";
+      EXPECT_GT(j, 0.0);
     }
-    const std::int64_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0)
-        << (use_pinv ? "pseudo-inverse" : "Richardson")
-        << " update allocated in steady state (J " << j << ")";
-    EXPECT_GT(j, 0.0);
   }
 }
 
 // The update stage alone — the acceptance criterion's hard guarantee —
-// checked for a non-cubic degree too (general de Casteljau path).
+// checked for a non-cubic degree too (general-degree Horner path).
 TEST(FitAllocationTest, UpdateStageIsAllocationFreeForGeneralDegree) {
   const int n = 500;
   const int d = 3;

@@ -2,7 +2,8 @@
 // synthetic fixtures: same final J within the learner tolerance and the
 // identical ranking order, for every projection method and 1/2/8 threads —
 // the acceptance contract of the warm-started incremental re-projection
-// engine.
+// engine — plus the invariant both modes share: the reported scores and J
+// are the exact re-projection of the returned curve.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "data/generators.h"
 #include "data/normalizer.h"
 #include "linalg/matrix.h"
+#include "opt/batch_projection.h"
 #include "order/orientation.h"
 #include "rank/ranking_list.h"
 
@@ -133,6 +135,49 @@ TEST(RpcLearnerWarmStartTest, CoreGuaranteesHoldUnderWarmStart) {
   // The recorded (accepted) J sequence is non-increasing, warm or not.
   for (size_t t = 1; t < fit->j_history.size(); ++t) {
     EXPECT_LE(fit->j_history[t], fit->j_history[t - 1] + 1e-12) << "t=" << t;
+  }
+}
+
+// The reported fit is exactly what re-projecting the training rows onto
+// the returned curve gives: fit.scores and fit.final_j equal, bit for bit,
+// the batch engine's scores and J on fit.curve — in both reprojection
+// modes, for every thread count and restart count, and on the
+// iteration-cap path whose last update is vetted after the loop.
+TEST(RpcLearnerWarmStartTest, ReportedFitEqualsReprojectionOfReturnedCurve) {
+  const Orientation alpha = *Orientation::FromSigns({+1, -1, +1});
+  const Matrix normalized = FixtureData(alpha, 240, 91);
+  for (ReprojectionMode mode :
+       {ReprojectionMode::kFull, ReprojectionMode::kWarmStart}) {
+    for (int max_iterations : {300, 2}) {
+      for (int restarts : {1, 3}) {
+        for (int threads : {1, 2, 8}) {
+          SCOPED_TRACE(testing::Message()
+                       << "mode " << static_cast<int>(mode) << " max_iter "
+                       << max_iterations << " restarts " << restarts
+                       << " threads " << threads);
+          RpcLearnOptions options;
+          options.reprojection = mode;
+          options.max_iterations = max_iterations;
+          options.restarts = restarts;
+          options.num_threads = threads;
+          options.seed = 17;
+          const auto fit = RpcLearner(options).Fit(normalized, alpha);
+          ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+          if (max_iterations == 2) {
+            EXPECT_EQ(fit->iterations, 2);
+          }
+          double j = 0.0;
+          const Vector rescored = opt::ProjectRowsBatch(
+              fit->curve.bezier(), normalized, options.projection, nullptr,
+              &j);
+          EXPECT_EQ(fit->final_j, j);
+          ASSERT_EQ(fit->scores.size(), rescored.size());
+          for (int i = 0; i < rescored.size(); ++i) {
+            ASSERT_EQ(fit->scores[i], rescored[i]) << "row " << i;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -197,74 +197,5 @@ TEST(BatchProjectionTest, SupTieBreakSurvivesBatch) {
   EXPECT_GT(scores[0], 0.5);
 }
 
-// The fused projection+accumulation pass must reproduce ProjectRowsBatch's
-// scores/J bitwise and its segment accumulators, merged in order, must
-// equal a serial accumulator sweep — for every thread count.
-TEST(BatchProjectionTest, FusedVariantMatchesPlainBatchAndSerialSweep) {
-  Rng rng(77);
-  const int n = 333;
-  const int d = 3;
-  const int segment_rows = 128;
-  Matrix control(d, 4);
-  for (int i = 0; i < d; ++i) {
-    control(i, 0) = 0.0;
-    control(i, 1) = rng.Uniform(0.1, 0.45);
-    control(i, 2) = rng.Uniform(0.55, 0.9);
-    control(i, 3) = 1.0;
-  }
-  const BezierCurve curve(control);
-  Matrix data(n, d);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) data(i, j) = rng.Uniform(-0.1, 1.1);
-  }
-
-  double j_plain = 0.0;
-  const Vector plain = ProjectRowsBatch(curve, data, {}, nullptr, &j_plain);
-  // Reference: the separate (unfused) sweep with the same fixed
-  // segmentation and segment-ordered merge — the exact reduction the fit
-  // workspace runs. (A flat n-row sweep would differ in the last bits:
-  // float addition is not associative; the *segmented* order is the
-  // contract.)
-  const int num_segments = (n + segment_rows - 1) / segment_rows;
-  curve::BernsteinDesignAccumulator reference;
-  reference.Bind(3, d);
-  for (int seg = 0; seg < num_segments; ++seg) {
-    curve::BernsteinDesignAccumulator partial;
-    partial.Bind(3, d);
-    const int begin = seg * segment_rows;
-    const int end = std::min(n, begin + segment_rows);
-    for (int i = begin; i < end; ++i) {
-      partial.AccumulateRow(plain[i], data.RowPtr(i));
-    }
-    reference.Merge(partial);
-  }
-  for (int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    std::vector<curve::BernsteinDesignAccumulator> segments(
-        static_cast<size_t>(num_segments));
-    for (auto& segment : segments) segment.Bind(3, d);
-    double j_fused = 0.0;
-    const Vector fused = ProjectRowsBatchFused(
-        curve, data, {}, &pool, &segments, segment_rows, &j_fused);
-    EXPECT_EQ(j_fused, j_plain) << "threads " << threads;
-    for (int i = 0; i < n; ++i) {
-      ASSERT_EQ(fused[i], plain[i]) << "threads " << threads << " row " << i;
-    }
-    curve::BernsteinDesignAccumulator merged;
-    merged.Bind(3, d);
-    for (const auto& segment : segments) merged.Merge(segment);
-    for (int a = 0; a < 4; ++a) {
-      for (int b = 0; b < 4; ++b) {
-        EXPECT_EQ(merged.gram()(a, b), reference.gram()(a, b))
-            << "threads " << threads;
-      }
-      for (int b = 0; b < d; ++b) {
-        EXPECT_EQ(merged.cross()(b, a), reference.cross()(b, a))
-            << "threads " << threads;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace rpc::opt

@@ -1,5 +1,6 @@
 #include "opt/curve_projection.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -173,6 +174,67 @@ TEST(ProjectionTest, HigherDimensionalCurve) {
     const ProjectionResult r = ProjectOntoCurve(curve, curve.Evaluate(s));
     EXPECT_NEAR(r.s, s, 1e-6);
     EXPECT_NEAR(r.squared_distance, 0.0, 1e-10);
+  }
+}
+
+// The warm-start entry points work on a workspace bound with nothing but
+// its method: the first ProjectLocal / ProjectSeeded after each Bind derives
+// the hodograph state itself, so a kGoldenSection or kQuinticRoots bind
+// refines exactly like a kNewton bind (whose global solver builds that
+// state eagerly) — same s, squared distance and evaluation count. The
+// rebind from a different curve catches state left over from the previous
+// Bind.
+TEST(ProjectionTest, WarmEntryPointsNeedNoNewtonBind) {
+  const BezierCurve curve = SShapeCubic();
+  const BezierCurve other = DiagonalCubic();
+  ProjectionOptions newton_options;
+  newton_options.method = ProjectionMethod::kNewton;
+  ProjectionWorkspace reference;
+  reference.Bind(curve, newton_options);
+  Rng rng(41);
+  for (ProjectionMethod method :
+       {ProjectionMethod::kGoldenSection, ProjectionMethod::kQuinticRoots}) {
+    ProjectionOptions options;
+    options.method = method;
+    ProjectionWorkspace workspace;
+    workspace.Bind(other, options);
+    bool ignored = false;
+    workspace.ProjectLocal(Vector{0.3, 0.6}.data().data(), 0.2, 0.6,
+                           &ignored);
+    workspace.Bind(curve, options);
+    for (int i = 0; i < 64; ++i) {
+      const Vector x{rng.Uniform(-0.1, 1.1), rng.Uniform(-0.1, 1.1)};
+      const double s = ProjectOntoCurve(curve, x).s;
+      // A tight bracket around the minimiser, a wide one, and a displaced
+      // one whose argmin lands on an interior edge.
+      const double brackets[][2] = {
+          {std::max(0.0, s - 1.0 / 32.0), std::min(1.0, s + 1.0 / 32.0)},
+          {0.1, 0.9},
+          {std::min(0.8, s + 0.1), std::min(1.0, s + 0.2)}};
+      for (const auto& bracket : brackets) {
+        const double lo = bracket[0];
+        const double hi = bracket[1];
+        bool edge = false;
+        bool reference_edge = false;
+        const ProjectionResult local =
+            workspace.ProjectLocal(x.data().data(), lo, hi, &edge);
+        const ProjectionResult reference_local =
+            reference.ProjectLocal(x.data().data(), lo, hi, &reference_edge);
+        EXPECT_EQ(local.s, reference_local.s) << "row " << i;
+        EXPECT_EQ(local.squared_distance, reference_local.squared_distance);
+        EXPECT_EQ(local.evaluations, reference_local.evaluations);
+        EXPECT_EQ(edge, reference_edge);
+
+        const double seed = std::clamp(s, lo, hi);
+        const ProjectionResult seeded =
+            workspace.ProjectSeeded(x.data().data(), seed, lo, hi);
+        const ProjectionResult reference_seeded =
+            reference.ProjectSeeded(x.data().data(), seed, lo, hi);
+        EXPECT_EQ(seeded.s, reference_seeded.s) << "row " << i;
+        EXPECT_EQ(seeded.squared_distance, reference_seeded.squared_distance);
+        EXPECT_EQ(seeded.evaluations, reference_seeded.evaluations);
+      }
+    }
   }
 }
 

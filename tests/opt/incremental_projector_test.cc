@@ -249,6 +249,8 @@ TEST(IncrementalProjectorTest, ImportedStateWarmStartsBitIdentically) {
 // any projection output, and the segment-merged Gram/cross totals must be
 // bit-identical to a separate BernsteinDesignAccumulator sweep over the
 // same scores — for 1 and more worker threads, warm and full calls alike.
+// Full calls (every call at resync_period 1, the learner's kFull engine)
+// must also reproduce ProjectRowsBatch's scores and J bitwise.
 TEST(IncrementalProjectorTest, FusedAccumulationMatchesSeparateSweep) {
   const int n = 150;
   const int d = 3;
@@ -257,55 +259,70 @@ TEST(IncrementalProjectorTest, FusedAccumulationMatchesSeparateSweep) {
   const Matrix data = RandomData(n, d, 68);
   const int num_segments = (n + segment_rows - 1) / segment_rows;
 
-  for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    IncrementalProjector plain;
-    IncrementalProjector fused;
-    IncrementalProjectorOptions options;
-    plain.Bind(data, options, &pool);
-    fused.Bind(data, options, &pool);
-    std::vector<curve::BernsteinDesignAccumulator> segments(
-        static_cast<size_t>(num_segments));
-    for (auto& segment : segments) segment.Bind(3, d);
-    fused.SetFusedAccumulators(&segments, segment_rows);
+  for (int resync_period : {8, 1}) {
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << "resync_period " << resync_period);
+      ThreadPool pool(threads);
+      IncrementalProjector plain;
+      IncrementalProjector fused;
+      IncrementalProjectorOptions options;
+      options.resync_period = resync_period;
+      plain.Bind(data, options, &pool);
+      fused.Bind(data, options, &pool);
+      std::vector<curve::BernsteinDesignAccumulator> segments(
+          static_cast<size_t>(num_segments));
+      for (auto& segment : segments) segment.Bind(3, d);
+      fused.SetFusedAccumulators(&segments, segment_rows);
 
-    BezierCurve curve = start;
-    for (int t = 0; t < 3; ++t) {
-      double j_plain = 0.0, j_fused = 0.0;
-      const Vector s_plain = plain.Project(curve, &j_plain);
-      const Vector s_fused = fused.Project(curve, &j_fused);
-      EXPECT_EQ(j_plain, j_fused) << "threads " << threads << " t " << t;
-      for (int i = 0; i < n; ++i) {
-        ASSERT_EQ(s_plain[i], s_fused[i])
-            << "threads " << threads << " t " << t << " row " << i;
-      }
-      // Segment-ordered merge == the separate sweep with the same fixed
-      // segmentation, bit for bit (float addition is not associative, so
-      // the reference must segment identically).
-      curve::BernsteinDesignAccumulator merged;
-      merged.Bind(3, d);
-      for (const auto& segment : segments) merged.Merge(segment);
-      curve::BernsteinDesignAccumulator reference;
-      reference.Bind(3, d);
-      for (int seg = 0; seg < num_segments; ++seg) {
-        curve::BernsteinDesignAccumulator partial;
-        partial.Bind(3, d);
-        const int begin = seg * segment_rows;
-        const int end = std::min(n, begin + segment_rows);
-        for (int i = begin; i < end; ++i) {
-          partial.AccumulateRow(s_plain[i], data.RowPtr(i));
+      BezierCurve curve = start;
+      for (int t = 0; t < 3; ++t) {
+        double j_plain = 0.0, j_fused = 0.0;
+        const Vector s_plain = plain.Project(curve, &j_plain);
+        const Vector s_fused = fused.Project(curve, &j_fused);
+        EXPECT_EQ(j_plain, j_fused) << "threads " << threads << " t " << t;
+        for (int i = 0; i < n; ++i) {
+          ASSERT_EQ(s_plain[i], s_fused[i])
+              << "threads " << threads << " t " << t << " row " << i;
         }
-        reference.Merge(partial);
-      }
-      for (int a = 0; a < 4; ++a) {
-        for (int b = 0; b < 4; ++b) {
-          EXPECT_EQ(merged.gram()(a, b), reference.gram()(a, b));
+        EXPECT_EQ(fused.last_was_full(), resync_period == 1 || t == 0);
+        if (fused.last_was_full()) {
+          double j_batch = 0.0;
+          const Vector batch =
+              ProjectRowsBatch(curve, data, {}, nullptr, &j_batch);
+          EXPECT_EQ(j_fused, j_batch) << "threads " << threads << " t " << t;
+          for (int i = 0; i < n; ++i) {
+            ASSERT_EQ(s_fused[i], batch[i])
+                << "threads " << threads << " t " << t << " row " << i;
+          }
         }
-        for (int b = 0; b < d; ++b) {
-          EXPECT_EQ(merged.cross()(b, a), reference.cross()(b, a));
+        // Segment-ordered merge == the separate sweep with the same fixed
+        // segmentation, bit for bit (float addition is not associative, so
+        // the reference must segment identically).
+        curve::BernsteinDesignAccumulator merged;
+        merged.Bind(3, d);
+        for (const auto& segment : segments) merged.Merge(segment);
+        curve::BernsteinDesignAccumulator reference;
+        reference.Bind(3, d);
+        for (int seg = 0; seg < num_segments; ++seg) {
+          curve::BernsteinDesignAccumulator partial;
+          partial.Bind(3, d);
+          const int begin = seg * segment_rows;
+          const int end = std::min(n, begin + segment_rows);
+          for (int i = begin; i < end; ++i) {
+            partial.AccumulateRow(s_plain[i], data.RowPtr(i));
+          }
+          reference.Merge(partial);
         }
+        for (int a = 0; a < 4; ++a) {
+          for (int b = 0; b < 4; ++b) {
+            EXPECT_EQ(merged.gram()(a, b), reference.gram()(a, b));
+          }
+          for (int b = 0; b < d; ++b) {
+            EXPECT_EQ(merged.cross()(b, a), reference.cross()(b, a));
+          }
+        }
+        curve = Perturbed(curve, 3e-3, 300 + static_cast<uint64_t>(t));
       }
-      curve = Perturbed(curve, 3e-3, 300 + static_cast<uint64_t>(t));
     }
   }
 }

@@ -100,7 +100,6 @@ TEST(ProjectionAllocationTest, ProjectLocalIsAllocationFree) {
         ProjectionMethod::kNewton}) {
     ProjectionOptions options;
     options.method = method;
-    options.enable_local_refinement = true;  // ProjectLocal needs hodographs
     ProjectionWorkspace workspace;
     workspace.Bind(curve, options);
     // Seed per-row s from a full projection outside the measured region.
@@ -108,6 +107,12 @@ TEST(ProjectionAllocationTest, ProjectLocalIsAllocationFree) {
     for (int i = 0; i < data.rows(); ++i) {
       warm[static_cast<size_t>(i)] = workspace.Project(data.RowPtr(i)).s;
     }
+    // The first ProjectLocal after a fresh workspace's first Bind sizes the
+    // hodograph buffers; settle them, then rebind so the measured region
+    // covers the lazy per-Bind re-derivation, which must reuse them.
+    bool settle_edge = false;
+    workspace.ProjectLocal(data.RowPtr(0), 0.25, 0.75, &settle_edge);
+    workspace.Bind(curve, options);
     const std::int64_t before =
         g_allocations.load(std::memory_order_relaxed);
     double checksum = 0.0;
