@@ -432,13 +432,14 @@ double BezierEvalWorkspace::SquaredDistance(const double* x, double s) {
   return sum;
 }
 
-void BezierEvalWorkspace::SquaredDistancesMulti(const double* xt,
-                                                int lane_stride, int count,
-                                                const double* s,
-                                                double* dist) {
+void BezierEvalWorkspace::GoldenRefineMulti(
+    const double* xt, int lane_stride, int count, const double* lo,
+    const double* hi, double tol, int max_iterations, double* s, double* dist,
+    int* evaluations, unsigned char* endpoint) {
   assert(bound());
-  simd_->power_squared_distances_multi(power_.data(), k_, d_, xt, lane_stride,
-                                       count, s, dist);
+  simd_->golden_refine_multi(power_.data(), k_, d_, xt, lane_stride, count,
+                             lo, hi, tol, max_iterations, s, dist,
+                             evaluations, endpoint);
 }
 
 }  // namespace rpc::curve

@@ -129,15 +129,20 @@ class BezierEvalWorkspace {
   /// Bind) for large d; both routes are bit-identical, see SimdOps in
   /// simd_backend.h.
   double SquaredDistance(const double* x, double s);
-  /// Batched SquaredDistance with a per-task parameter: dist[t] =
-  /// ||x_t - f(s[t])|| ^2 for `count` tasks whose coordinates live in the
-  /// task-major column xt[j * lane_stride + t]. Every s[t] must be
-  /// interior (not exactly 0.0 or 1.0); each lane is bit-identical to the
-  /// corresponding SquaredDistance call. This is the lock-step refinement
-  /// engine's evaluation primitive (see
-  /// SimdOps::power_squared_distances_multi).
-  void SquaredDistancesMulti(const double* xt, int lane_stride, int count,
-                             const double* s, double* dist);
+  /// A whole Golden Section Search per task over [lo[t], hi[t]] for
+  /// `count` tasks whose coordinates live in the task-major column
+  /// xt[j * lane_stride + t], through the active backend's
+  /// SimdOps::golden_refine_multi (see there for the per-lane contract).
+  /// Each lane equals GoldenSectionMinimizeWith over SquaredDistance
+  /// unless endpoint[t] is set — a probe hit s = 0 or 1, where
+  /// SquaredDistance takes its exact-endpoint branch — in which case the
+  /// caller must redo that task through the per-point search. This is the
+  /// lock-step refinement engine's primitive (see
+  /// opt::ProjectionWorkspace::RefineGoldenBlock).
+  void GoldenRefineMulti(const double* xt, int lane_stride, int count,
+                         const double* lo, const double* hi, double tol,
+                         int max_iterations, double* s, double* dist,
+                         int* evaluations, unsigned char* endpoint);
 
  private:
   const BezierCurve* curve_ = nullptr;

@@ -16,11 +16,16 @@ enum class SimdBackendKind {
   kNeon,
 };
 
-/// One backend's kernel table. All kernels operate on a structure-of-arrays
-/// tile (opt::RowBlock layout): coordinate j of the block's rows is the
-/// contiguous lane tile[j * lane_stride .. j * lane_stride + rows), so the
-/// inner loops vectorise across rows — one row per SIMD lane — instead of
-/// across dimensions.
+/// One backend's kernel table, five kernels. The two tile kernels read a
+/// structure-of-arrays tile (opt::RowBlock layout): coordinate j of the
+/// block's rows is the contiguous lane tile[j * lane_stride .. j *
+/// lane_stride + rows), so they vectorise across rows — one row per SIMD
+/// lane — instead of across dimensions. power_squared_distance is the
+/// per-point refinement evaluation and vectorises across dimensions. The
+/// two task kernels (power_squared_distances_multi, golden_refine_multi)
+/// read a task-major tile of the same shape and vectorise across
+/// refinement tasks, one task per lane: the first evaluates one probe per
+/// task, the second runs each task's whole Golden Section Search.
 ///
 /// Bit-identity contract: every kernel performs, per row, exactly the
 /// floating-point operation sequence of the scalar reference (the orderings
@@ -73,13 +78,12 @@ struct SimdOps {
   /// Batched form of power_squared_distance with a *per-lane parameter*:
   /// dist[t] = ||x_t - f(s[t])||^2 for `count` independent points, where
   /// point t's coordinates live in the task-major tile column
-  /// xt[j * lane_stride + t]. This is the engine under the block path's
-  /// lock-step Golden Section refinement (see
-  /// ProjectionWorkspace::RefineGoldenBlock): every task evaluates its own
-  /// probe parameter, so the kernel vectorises across *tasks* — per
-  /// dimension a broadcast-coefficient descending Horner against the vector
-  /// of s values. Per lane the operation sequence must equal
-  /// power_squared_distance exactly: dim-strided accumulator classes
+  /// xt[j * lane_stride + t]. This is the evaluation step of
+  /// golden_refine_multi, which runs it once per search round: every task
+  /// evaluates its own probe parameter, so the kernel vectorises across
+  /// *tasks* — per dimension a broadcast-coefficient descending Horner
+  /// against the vector of s values. Per lane the operation sequence must
+  /// equal power_squared_distance exactly: dim-strided accumulator classes
   /// combined ((l0 + l1) + (l2 + l3)) + sequential tail, no FMA, so a
   /// task's refinement trajectory is bit-identical whether it runs here or
   /// through the per-point scalar path.
@@ -87,6 +91,34 @@ struct SimdOps {
                                         const double* xt, int lane_stride,
                                         int count, const double* s,
                                         double* dist);
+
+  /// A whole Golden Section Search per lane: for each of `count` tasks
+  /// (coordinates in the task-major column xt[j * lane_stride + t], as in
+  /// power_squared_distances_multi) minimises ||x_t - f(s)||^2 over the
+  /// bracket [lo[t], hi[t]] and writes the minimiser s_out[t], its squared
+  /// distance dist_out[t] and the number of objective evaluations
+  /// evaluations[t]. This is the engine under the block path's lock-step
+  /// refinement (see ProjectionWorkspace::RefineGoldenBlock): each lane
+  /// runs its bracket's entire search in registers, so the per-round
+  /// bookkeeping vectorises along with the evaluations.
+  ///
+  /// Per lane the result must equal opt::GoldenSectionMinimizeWith(f,
+  /// lo[t], hi[t], tol, max_iterations) exactly, with f the
+  /// power_squared_distance objective: the narrow-bracket midpoint
+  /// (h <= tol: one evaluation), the fc < fd branch, the
+  /// `iter < max_iterations && h > tol` loop test, the result selection
+  /// and the evaluation count — explicit mul/add and mask/blend selects
+  /// only, no FMA. The objective is the *interior* ordering at every probe;
+  /// a probe landing exactly on s = 0.0 or 1.0 (where the per-point path
+  /// takes its exact-endpoint branch instead) sets endpoint[t] to 1, and
+  /// the caller must redo that lane through the per-point search. Lanes
+  /// left over after the last full vector run the shared reference.
+  void (*golden_refine_multi)(const double* power, int k, int d,
+                              const double* xt, int lane_stride, int count,
+                              const double* lo, const double* hi, double tol,
+                              int max_iterations, double* s_out,
+                              double* dist_out, int* evaluations,
+                              unsigned char* endpoint);
 };
 
 /// The backend the process is using: chosen once, on first use, by CPU

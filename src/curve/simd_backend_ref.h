@@ -1,6 +1,7 @@
 #ifndef RPC_CURVE_SIMD_BACKEND_REF_H_
 #define RPC_CURVE_SIMD_BACKEND_REF_H_
 
+#include <cmath>
 #include <cstddef>
 
 // Scalar reference implementations of the SimdOps kernels, shared by every
@@ -165,6 +166,70 @@ inline void RefPowerSquaredDistancesMulti(const double* power, int k, int d,
       tail += diff * diff;
     }
     dist[t] = ((lane0 + lane1) + (lane2 + lane3)) + tail;
+  }
+}
+
+/// Per-lane Golden Section Search: for task t, opt::GoldenSectionMinimizeWith
+/// over [lo[t], hi[t]] with the RefPowerSquaredDistancesMulti objective
+/// for column t — the same constants, branch, loop test, result selection
+/// and evaluation count, written out here because curve/ sits below opt/.
+/// endpoint[t] records whether any probe landed exactly on 0.0 or 1.0.
+/// Vector backends run this loop with one task per lane and mask selects.
+inline void RefGoldenRefineMulti(const double* power, int k, int d,
+                                 const double* xt, int lane_stride, int count,
+                                 const double* lo, const double* hi,
+                                 double tol, int max_iterations,
+                                 double* s_out, double* dist_out,
+                                 int* evaluations, unsigned char* endpoint) {
+  const double kInvPhi = (std::sqrt(5.0) - 1.0) / 2.0;   // 1/phi
+  const double kInvPhi2 = (3.0 - std::sqrt(5.0)) / 2.0;  // 1/phi^2
+  for (int t = 0; t < count; ++t) {
+    bool hit_endpoint = false;
+    const auto f = [&](double s) {
+      hit_endpoint = hit_endpoint || s == 0.0 || s == 1.0;
+      double dist = 0.0;
+      RefPowerSquaredDistancesMulti(power, k, d, xt + t, lane_stride, 1, &s,
+                                    &dist);
+      return dist;
+    };
+    double a = lo[t];
+    double b = hi[t];
+    double h = b - a;
+    if (h <= tol) {
+      const double mid = 0.5 * (a + b);
+      s_out[t] = mid;
+      dist_out[t] = f(mid);
+      evaluations[t] = 1;
+      endpoint[t] = hit_endpoint ? 1 : 0;
+      continue;
+    }
+    double c = a + kInvPhi2 * h;
+    double dd = a + kInvPhi * h;
+    double fc = f(c);
+    double fd = f(dd);
+    int evals = 2;
+    for (int iter = 0; iter < max_iterations && h > tol; ++iter) {
+      if (fc < fd) {
+        b = dd;
+        dd = c;
+        fd = fc;
+        h = b - a;
+        c = a + kInvPhi2 * h;
+        fc = f(c);
+      } else {
+        a = c;
+        c = dd;
+        fc = fd;
+        h = b - a;
+        dd = a + kInvPhi * h;
+        fd = f(dd);
+      }
+      ++evals;
+    }
+    s_out[t] = fc < fd ? c : dd;
+    dist_out[t] = fc < fd ? fc : fd;
+    evaluations[t] = evals;
+    endpoint[t] = hit_endpoint ? 1 : 0;
   }
 }
 

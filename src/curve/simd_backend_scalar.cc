@@ -15,6 +15,7 @@ constexpr SimdOps kScalarOps = {
     &internal::RefTileSquaredDistancesSeq,
     &internal::RefPowerSquaredDistanceFused,
     &internal::RefPowerSquaredDistancesMulti,
+    &internal::RefGoldenRefineMulti,
 };
 
 }  // namespace

@@ -78,12 +78,7 @@ void ProjectionWorkspace::Bind(const BezierCurve& curve,
     grid_dist_block_.resize((static_cast<size_t>(g) + 1) *
                             RowBlock::kLaneStride);
     golden_xt_.resize(static_cast<size_t>(d) * RowBlock::kMaxRows);
-    golden_s_.resize(RowBlock::kMaxRows);
-    golden_dist_.resize(RowBlock::kMaxRows);
     block_results_.resize(RowBlock::kMaxRows);
-    // One bracket per row is the common case; a capacity of two per row
-    // keeps the task list allocation-free for every non-pathological block.
-    golden_tasks_.reserve(static_cast<size_t>(RowBlock::kMaxRows) * 2);
   }
   grid_f_ready_ = false;
   ResetEvaluationCounts();
@@ -503,19 +498,18 @@ void ProjectionWorkspace::ProjectPackedBlock(const RowBlock& block,
   }
   objective_evals_ += static_cast<std::int64_t>(g + 1) * count;
 
-  // Blocks too small to fill vector lanes pay the lock-step driver's
-  // per-round bookkeeping for nothing — single-row serving queries land
-  // here — as does the scalar backend at any size.
+  // Blocks too small to fill vector lanes pay the lock-step path's bracket
+  // transpose and padded kernel lanes for nothing — single-row serving
+  // queries land here — as does the scalar backend at any size.
   constexpr int kGoldenLockStepMinRows = 16;
   if (options_.method == ProjectionMethod::kGoldenSection &&
       simd.kind != curve::SimdBackendKind::kScalar &&
       count >= kGoldenLockStepMinRows) {
     // Grid scan per row first (refinement deferred), then every bracket of
-    // every row refines in lock step through the batched per-lane-s kernel
-    // — the refinement evaluations vectorise across tasks instead of
-    // running one scalar search per row. The per-row driver (below) and
-    // this one produce bit-identical results and counters, so the routing
-    // is purely a speed choice.
+    // every row refines in lock step through the whole-search kernel — one
+    // bracket per SIMD lane instead of one scalar search per row. The
+    // per-row path (below) and this one produce bit-identical results and
+    // counters, so the routing is purely a speed choice.
     for (int i = 0; i < count; ++i) {
       const double* x = rows + static_cast<size_t>(i) * row_stride;
       block_results_[static_cast<size_t>(i)] = FinishGridFromDists(
@@ -564,17 +558,13 @@ void ProjectionWorkspace::RefineGoldenBlock(const double* rows, int row_stride,
                                             ProjectionResult* results) {
   const int g = std::max(options_.grid_points, 2);
   const int d = curve_->dimension();
-  const double tol = options_.tol;
-  constexpr int kMaxIterations = 200;  // GoldenSectionMinimizeWith's default
-  const double kInvPhi = (std::sqrt(5.0) - 1.0) / 2.0;   // 1/phi
-  const double kInvPhi2 = (3.0 - std::sqrt(5.0)) / 2.0;  // 1/phi^2
-
   // Bracket detection in the per-row path's order (rows ascending, grid
-  // index ascending), so each row's refined candidates apply with exactly
-  // FinishGridFromDists' tie-break sequence.
-  golden_tasks_.clear();
+  // index ascending). A wave runs as soon as it fills, so candidates apply
+  // in collection order: per row, FinishGridFromDists' tie-break sequence.
+  int tasks = 0;
   for (int r = 0; r < count; ++r) {
     const double* gd = grid_dist_block_.data() + r;
+    const double* x = rows + static_cast<size_t>(r) * row_stride;
     for (int i = 0; i <= g; ++i) {
       const bool left_ok =
           i == 0 || gd[static_cast<size_t>(i) * RowBlock::kLaneStride] <=
@@ -583,162 +573,48 @@ void ProjectionWorkspace::RefineGoldenBlock(const double* rows, int row_stride,
           i == g || gd[static_cast<size_t>(i) * RowBlock::kLaneStride] <=
                         gd[static_cast<size_t>(i + 1) * RowBlock::kLaneStride];
       if (!left_ok || !right_ok) continue;
-      GoldenTask task;
-      task.row = r;
-      task.x = rows + static_cast<size_t>(r) * row_stride;
-      task.a = std::max(0.0, static_cast<double>(i - 1) / g);
-      task.b = std::min(1.0, static_cast<double>(i + 1) / g);
-      golden_tasks_.push_back(task);
-    }
-  }
-
-  // Waves of up to kMaxRows tasks share the task-major transpose buffer;
-  // within a wave, every round advances each still-active search by one
-  // evaluation and batches all of the round's probes into one kernel call.
-  // Lanes of already-finished tasks keep their last probe: the kernel
-  // still computes them (harmlessly — iteration counts across a wave
-  // differ by at most a few rounds), the results are simply not consumed
-  // and not counted.
-  for (size_t wave = 0; wave < golden_tasks_.size();
-       wave += RowBlock::kMaxRows) {
-    const int t_count = static_cast<int>(
-        std::min<size_t>(RowBlock::kMaxRows, golden_tasks_.size() - wave));
-    GoldenTask* tasks = golden_tasks_.data() + wave;
-    for (int t = 0; t < t_count; ++t) {
-      const double* x = tasks[t].x;
+      golden_wave_.row[tasks] = r;
+      golden_wave_.lo[tasks] = std::max(0.0, static_cast<double>(i - 1) / g);
+      golden_wave_.hi[tasks] = std::min(1.0, static_cast<double>(i + 1) / g);
       for (int j = 0; j < d; ++j) {
-        golden_xt_[static_cast<size_t>(j) * RowBlock::kMaxRows + t] = x[j];
+        golden_xt_[static_cast<size_t>(j) * RowBlock::kMaxRows + tasks] = x[j];
       }
-    }
-    int active = 0;
-    for (int t = 0; t < t_count; ++t) {
-      GoldenTask& task = tasks[t];
-      task.h = task.b - task.a;
-      task.evaluations = 0;
-      task.iterations = 0;
-      task.active = true;
-      ++active;
-      if (task.h <= tol) {
-        task.stage = GoldenStage::kNarrow;
-      } else {
-        task.c = task.a + kInvPhi2 * task.h;
-        task.d = task.a + kInvPhi * task.h;
-        task.stage = GoldenStage::kInitC;
-      }
-      golden_s_[static_cast<size_t>(t)] = 0.5;  // benign until first probe
-    }
-    while (active > 0) {
-      // Emit: pick each active task's next probe — applying the loop's
-      // branch update exactly as GoldenSectionMinimizeWith does before its
-      // evaluation — or finalise tasks whose loop has terminated.
-      int emitted = 0;
-      for (int t = 0; t < t_count; ++t) {
-        GoldenTask& task = tasks[t];
-        task.pending = false;
-        if (!task.active) continue;
-        switch (task.stage) {
-          case GoldenStage::kNarrow:
-            task.probe = 0.5 * (task.a + task.b);
-            break;
-          case GoldenStage::kInitC:
-            task.probe = task.c;
-            break;
-          case GoldenStage::kInitD:
-            task.probe = task.d;
-            break;
-          case GoldenStage::kDecide:
-            if (task.iterations < kMaxIterations && task.h > tol) {
-              if (task.fc < task.fd) {
-                task.b = task.d;
-                task.d = task.c;
-                task.fd = task.fc;
-                task.h = task.b - task.a;
-                task.c = task.a + kInvPhi2 * task.h;
-                task.probe = task.c;
-                task.stage = GoldenStage::kEvalC;
-              } else {
-                task.a = task.c;
-                task.c = task.d;
-                task.fc = task.fd;
-                task.h = task.b - task.a;
-                task.d = task.a + kInvPhi * task.h;
-                task.probe = task.d;
-                task.stage = GoldenStage::kEvalD;
-              }
-            } else {
-              task.result_x = task.fc < task.fd ? task.c : task.d;
-              task.result_fx = task.fc < task.fd ? task.fc : task.fd;
-              task.active = false;
-              --active;
-              continue;
-            }
-            break;
-          case GoldenStage::kEvalC:
-          case GoldenStage::kEvalD:
-            break;  // unreachable: consume always advances to kDecide
-        }
-        golden_s_[static_cast<size_t>(t)] = task.probe;
-        task.pending = true;
-        ++emitted;
-      }
-      if (emitted == 0) break;  // every remaining task finalised this round
-
-      eval_.SquaredDistancesMulti(golden_xt_.data(), RowBlock::kMaxRows,
-                                  t_count, golden_s_.data(),
-                                  golden_dist_.data());
-      objective_evals_ += emitted;
-
-      // Consume: write each pending probe's value into its search state.
-      for (int t = 0; t < t_count; ++t) {
-        GoldenTask& task = tasks[t];
-        if (!task.pending) continue;
-        double value = golden_dist_[static_cast<size_t>(t)];
-        if (task.probe == 0.0 || task.probe == 1.0) {
-          // The per-point path takes the exact-endpoint branch here; the
-          // interior kernel value for this lane is discarded. (Brackets are
-          // at least half a grid cell wide, so this effectively never
-          // happens — it is kept for exact equivalence.)
-          value = eval_.SquaredDistance(task.x, task.probe);
-        }
-        ++task.evaluations;
-        switch (task.stage) {
-          case GoldenStage::kNarrow:
-            task.result_x = task.probe;
-            task.result_fx = value;
-            task.active = false;
-            --active;
-            break;
-          case GoldenStage::kInitC:
-            task.fc = value;
-            task.stage = GoldenStage::kInitD;
-            break;
-          case GoldenStage::kInitD:
-            task.fd = value;
-            task.stage = GoldenStage::kDecide;
-            break;
-          case GoldenStage::kEvalC:
-            task.fc = value;
-            ++task.iterations;
-            task.stage = GoldenStage::kDecide;
-            break;
-          case GoldenStage::kEvalD:
-            task.fd = value;
-            ++task.iterations;
-            task.stage = GoldenStage::kDecide;
-            break;
-          case GoldenStage::kDecide:
-            break;  // unreachable: kDecide never emits a probe
-        }
+      if (++tasks == RowBlock::kMaxRows) {
+        RunGoldenWave(rows, row_stride, tasks, results);
+        tasks = 0;
       }
     }
   }
+  if (tasks > 0) RunGoldenWave(rows, row_stride, tasks, results);
+}
 
-  // Apply every task's refined candidate in collection order: per row this
-  // is ascending bracket order, the per-row path's exact sequence.
-  for (const GoldenTask& task : golden_tasks_) {
-    ProjectionResult& best = results[task.row];
-    best.evaluations += task.evaluations;
-    ConsiderPrecomputed(task.result_x, task.result_fx, &best);
+void ProjectionWorkspace::RunGoldenWave(const double* rows, int row_stride,
+                                        int tasks, ProjectionResult* results) {
+  constexpr int kMaxIterations = 200;  // GoldenSectionMinimizeWith's default
+  GoldenWave& wave = golden_wave_;
+  eval_.GoldenRefineMulti(golden_xt_.data(), RowBlock::kMaxRows, tasks,
+                          wave.lo, wave.hi, options_.tol, kMaxIterations,
+                          wave.s, wave.dist, wave.evaluations, wave.endpoint);
+  for (int t = 0; t < tasks; ++t) {
+    ProjectionResult& best = results[wave.row[t]];
+    if (wave.endpoint[t] != 0) {
+      // A probe landed exactly on s = 0 or 1, where the per-point objective
+      // takes the exact-endpoint branch the kernel does not model: redo the
+      // search per point. Its ObjectiveAt calls count its evaluations, so
+      // the kernel's count for this lane is dropped. (Brackets are at least
+      // one grid cell wide, so this takes a tolerance far below the
+      // default; it is kept for exact equivalence.)
+      const ProjectionObjective objective{
+          this, rows + static_cast<size_t>(wave.row[t]) * row_stride};
+      const ScalarMinResult gss = GoldenSectionMinimizeWith(
+          objective, wave.lo[t], wave.hi[t], options_.tol, kMaxIterations);
+      best.evaluations += gss.evaluations;
+      ConsiderPrecomputed(gss.x, gss.fx, &best);
+      continue;
+    }
+    objective_evals_ += wave.evaluations[t];
+    best.evaluations += wave.evaluations[t];
+    ConsiderPrecomputed(wave.s[t], wave.dist[t], &best);
   }
 }
 

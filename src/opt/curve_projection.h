@@ -187,18 +187,23 @@ class ProjectionWorkspace {
                                          int stride);
   /// Lock-step Golden Section refinement, the kGoldenSection back half of
   /// ProjectPackedBlock: collects every grid-local-minimum bracket of the
-  /// block's rows into tasks and advances all of their searches together —
-  /// each round moves every active task's state machine by exactly one
-  /// objective evaluation, and a single batched kernel sweep
-  /// (SimdOps::power_squared_distances_multi) evaluates the whole round's
-  /// probes at once, one task per SIMD lane. Per task the evaluation
-  /// sequence, iteration count and result are GoldenSectionMinimizeWith's
-  /// exactly, so the refined minimisers, tie-breaks and evaluation
-  /// counters are bit-identical to the per-row path; only the interleaving
-  /// of evaluations across rows differs. Applies each task's refined
-  /// candidate to results[task.row] in the per-row path's bracket order.
+  /// block's rows, in the per-row path's order, into waves of up to
+  /// RowBlock::kMaxRows tasks, and hands each wave to one
+  /// SimdOps::golden_refine_multi call that runs every bracket's entire
+  /// search in its own SIMD lane. Per task the evaluation sequence,
+  /// iteration count and result are GoldenSectionMinimizeWith's exactly; a
+  /// task the kernel flags for probing s = 0 or s = 1 is redone through the
+  /// per-point search, whose objective takes the exact-endpoint branch
+  /// there. Candidates apply to results[row] in collection order — per row,
+  /// FinishGridFromDists' bracket order — so the refined minimisers,
+  /// tie-breaks and evaluation counters are bit-identical to the per-row
+  /// path.
   void RefineGoldenBlock(const double* rows, int row_stride, int count,
                          ProjectionResult* results);
+  /// Runs the first `tasks` collected brackets of golden_wave_ through the
+  /// kernel and applies their candidates (see RefineGoldenBlock).
+  void RunGoldenWave(const double* rows, int row_stride, int tasks,
+                     ProjectionResult* results);
   /// Fills grid_f_ (f(s_g) for every grid point, lazily, once per Bind) for
   /// the block path's shared-curve-value kernels.
   void EnsureGridCurveValues();
@@ -247,44 +252,22 @@ class ProjectionWorkspace {
   bool grid_f_ready_ = false;
   bool derivatives_ready_ = false;
 
-  /// Where a lock-step Golden Section task is in its search (see
-  /// RefineGoldenBlock): the initial probes (c then d), the per-iteration
-  /// decide/evaluate split of GoldenSectionMinimizeWith's loop — the
-  /// branch update happens when the round's probe is chosen, the write of
-  /// fc/fd when its batched evaluation lands — and the degenerate
-  /// already-narrow bracket that evaluates its midpoint once.
-  enum class GoldenStage : unsigned char {
-    kNarrow,
-    kInitC,
-    kInitD,
-    kDecide,
-    kEvalC,
-    kEvalD,
+  // Lock-step refinement scratch for one wave of brackets: the task-major
+  // transpose of the wave's rows (column t = task t's coordinates, lane
+  // stride kMaxRows; sized per Bind with the other block buffers) and the
+  // fixed-size per-task kernel inputs and outputs.
+  struct GoldenWave {
+    int row[RowBlock::kMaxRows];  // block-local row of each task
+    double lo[RowBlock::kMaxRows];
+    double hi[RowBlock::kMaxRows];
+    double s[RowBlock::kMaxRows];
+    double dist[RowBlock::kMaxRows];
+    int evaluations[RowBlock::kMaxRows];
+    unsigned char endpoint[RowBlock::kMaxRows];
   };
-  /// One bracket's Golden Section Search, advanced in lock step with every
-  /// other bracket of its block.
-  struct GoldenTask {
-    int row = 0;                  // block-local row index
-    const double* x = nullptr;    // the row's coordinates (row-major)
-    double a = 0.0, b = 0.0, h = 0.0;  // current bracket
-    double c = 0.0, d = 0.0;      // interior probe parameters
-    double fc = 0.0, fd = 0.0;    // objective at the probes
-    double probe = 0.0;           // parameter evaluated this round
-    double result_x = 0.0, result_fx = 0.0;
-    int evaluations = 0;
-    int iterations = 0;
-    GoldenStage stage = GoldenStage::kInitC;
-    bool pending = false;  // emitted a probe this round
-    bool active = false;
-  };
-  // Lock-step refinement scratch (sized per Bind with the other block
-  // buffers): the task list, the task-major transpose of one wave's rows
-  // (column t = task t's coordinates, lane stride kMaxRows), the per-lane
-  // probe parameters and kernel results, and the per-row result scratch.
-  std::vector<GoldenTask> golden_tasks_;
   std::vector<double> golden_xt_;
-  std::vector<double> golden_s_;
-  std::vector<double> golden_dist_;
+  GoldenWave golden_wave_{};
+  // The lock-step path's per-row results (kMaxRows, sized per Bind).
   std::vector<ProjectionResult> block_results_;
 
   std::int64_t objective_evals_ = 0;

@@ -1,5 +1,8 @@
 #include "curve/simd_backend.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "linalg/matrix.h"
 #include "opt/batch_projection.h"
 #include "opt/curve_projection.h"
+#include "opt/golden_section.h"
 #include "opt/row_block.h"
 
 namespace rpc::curve {
@@ -34,6 +38,7 @@ TEST(SimdBackendTest, ScalarAlwaysAvailableAndFirst) {
     EXPECT_NE(ops->tile_squared_distances_seq, nullptr);
     EXPECT_NE(ops->power_squared_distance, nullptr);
     EXPECT_NE(ops->power_squared_distances_multi, nullptr);
+    EXPECT_NE(ops->golden_refine_multi, nullptr);
     EXPECT_STREQ(ops->name, SimdBackendName(ops->kind));
   }
 }
@@ -186,6 +191,180 @@ TEST(SimdBackendTest, MultiKernelBitIdenticalToScalarAndPerPoint) {
   }
 }
 
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// One golden_refine_multi call's inputs and outputs.
+struct GoldenCall {
+  std::vector<double> s;
+  std::vector<double> dist;
+  std::vector<int> evaluations;
+  std::vector<unsigned char> endpoint;
+
+  GoldenCall(const SimdOps& ops, const std::vector<double>& power, int k,
+             int d, const std::vector<double>& xt, int lane_stride,
+             const std::vector<double>& lo, const std::vector<double>& hi,
+             double tol, int max_iterations)
+      : s(lo.size(), -1.0),
+        dist(lo.size(), -1.0),
+        evaluations(lo.size(), -1),
+        endpoint(lo.size(), 7) {
+    ops.golden_refine_multi(power.data(), k, d, xt.data(), lane_stride,
+                            static_cast<int>(lo.size()), lo.data(), hi.data(),
+                            tol, max_iterations, s.data(), dist.data(),
+                            evaluations.data(), endpoint.data());
+  }
+};
+
+// The whole-search Golden Section kernel. Every backend must reproduce the
+// scalar reference bit for bit — minimiser, squared distance, evaluation
+// count and endpoint flag — and the reference must be
+// opt::GoldenSectionMinimizeWith over the interior objective, lane by lane.
+// The sweep covers degrees 1..10, awkward dimensions (tails of every
+// length, the d >= 16 per-point kernel range), every task count 1..64
+// (ragged vector remainders included), ordinary grid brackets, the two
+// boundary brackets, already-narrow brackets (h <= tol), the
+// [nextafter(1, 0), 1] bracket whose d probe rounds to exactly 1.0 at
+// tol = 1e-17 (endpoint flag), and a 3-iteration cap.
+TEST(SimdBackendTest, GoldenRefineKernelBitIdenticalToReference) {
+  Rng rng(1414);
+  const std::vector<const SimdOps*> backends = AvailableSimdBackends();
+  const SimdOps* scalar = backends[0];
+  constexpr int kLaneStride = RowBlock::kMaxRows;
+  const double kTols[] = {1e-10, 1e-4, 1e-17};
+  int pair = 0;
+  int endpoint_lanes = 0;
+  int narrow_lanes = 0;
+  int capped_lanes = 0;
+  for (int k = 1; k <= 10; ++k) {
+    for (int d : {1, 2, 3, 4, 5, 7, 8, 9, 16, 33}) {
+      ++pair;
+      std::vector<double> power(static_cast<size_t>(k + 1) *
+                                static_cast<size_t>(d));
+      for (double& v : power) v = rng.Uniform(-2.0, 2.0);
+      std::vector<double> xt(static_cast<size_t>(d) * kLaneStride);
+      for (double& v : xt) v = rng.Uniform(-0.5, 1.5);
+      // Two counts per (k, d) pair, together covering 1..64.
+      for (int count : {1 + pair % 64, 64 - pair % 64}) {
+        const double tol = kTols[(pair + count) % 3];
+        const int max_iterations = (pair + count) % 4 == 0 ? 3 : 200;
+        const int g = 8 + static_cast<int>(rng.UniformInt(25));
+        std::vector<double> lo(static_cast<size_t>(count));
+        std::vector<double> hi(static_cast<size_t>(count));
+        for (int t = 0; t < count; ++t) {
+          double a = 0.0;
+          double b = 1.0;
+          switch (rng.UniformInt(6)) {
+            case 0:
+            case 1: {
+              const int i = static_cast<int>(rng.UniformInt(g + 1));
+              a = std::max(0.0, static_cast<double>(i - 1) / g);
+              b = std::min(1.0, static_cast<double>(i + 1) / g);
+              break;
+            }
+            case 2:
+              a = rng.Uniform(0.0, 1.0);
+              b = a + 0.5 * tol * rng.Uniform(0.0, 1.0);
+              break;
+            case 3:
+              a = 0.0;
+              b = 1.0 / g;
+              break;
+            case 4:
+              a = 1.0 - 1.0 / g;
+              b = 1.0;
+              break;
+            default:
+              a = std::nextafter(1.0, 0.0);
+              b = 1.0;
+              break;
+          }
+          lo[static_cast<size_t>(t)] = a;
+          hi[static_cast<size_t>(t)] = b;
+        }
+
+        const GoldenCall expected(*scalar, power, k, d, xt, kLaneStride, lo,
+                                  hi, tol, max_iterations);
+        // The reference is Golden Section Search itself, per lane.
+        for (int t = 0; t < count; ++t) {
+          const size_t ut = static_cast<size_t>(t);
+          bool hit = false;
+          const auto objective = [&](double s) {
+            hit = hit || s == 0.0 || s == 1.0;
+            double dist = 0.0;
+            scalar->power_squared_distances_multi(
+                power.data(), k, d, xt.data() + t, kLaneStride, 1, &s, &dist);
+            return dist;
+          };
+          const opt::ScalarMinResult gss = opt::GoldenSectionMinimizeWith(
+              objective, lo[ut], hi[ut], tol, max_iterations);
+          ASSERT_EQ(Bits(expected.s[ut]), Bits(gss.x))
+              << "k=" << k << " d=" << d << " task " << t;
+          ASSERT_EQ(Bits(expected.dist[ut]), Bits(gss.fx))
+              << "k=" << k << " d=" << d << " task " << t;
+          ASSERT_EQ(expected.evaluations[ut], gss.evaluations);
+          ASSERT_EQ(expected.endpoint[ut], hit ? 1 : 0);
+          if (hit) ++endpoint_lanes;
+          if (hi[ut] - lo[ut] <= tol) ++narrow_lanes;
+          if (max_iterations == 3 && gss.evaluations == 5) ++capped_lanes;
+        }
+        for (const SimdOps* ops : backends) {
+          const GoldenCall got(*ops, power, k, d, xt, kLaneStride, lo, hi,
+                               tol, max_iterations);
+          for (int t = 0; t < count; ++t) {
+            const size_t ut = static_cast<size_t>(t);
+            ASSERT_EQ(Bits(got.s[ut]), Bits(expected.s[ut]))
+                << ops->name << " k=" << k << " d=" << d
+                << " count=" << count << " task " << t << " tol=" << tol;
+            ASSERT_EQ(Bits(got.dist[ut]), Bits(expected.dist[ut]))
+                << ops->name << " k=" << k << " d=" << d
+                << " count=" << count << " task " << t;
+            ASSERT_EQ(got.evaluations[ut], expected.evaluations[ut])
+                << ops->name << " k=" << k << " d=" << d
+                << " count=" << count << " task " << t;
+            ASSERT_EQ(got.endpoint[ut], expected.endpoint[ut])
+                << ops->name << " k=" << k << " d=" << d
+                << " count=" << count << " task " << t;
+          }
+        }
+      }
+    }
+  }
+  // The sweep must actually have reached the special branches.
+  EXPECT_GT(endpoint_lanes, 0);
+  EXPECT_GT(narrow_lanes, 0);
+  EXPECT_GT(capped_lanes, 0);
+}
+
+// The endpoint flag in isolation: at tol = 1e-17 the bracket
+// [nextafter(1, 0), 1] is one ulp wide, so its d probe a + h / phi rounds
+// to exactly 1.0 — every lane must be flagged, whether it runs in a full
+// vector or in the scalar remainder.
+TEST(SimdBackendTest, GoldenRefineKernelFlagsEndpointProbes) {
+  Rng rng(99);
+  constexpr int kLaneStride = RowBlock::kMaxRows;
+  const int k = 3;
+  const int d = 5;
+  std::vector<double> power(static_cast<size_t>(k + 1) * d);
+  for (double& v : power) v = rng.Uniform(-1.0, 1.0);
+  std::vector<double> xt(static_cast<size_t>(d) * kLaneStride);
+  for (double& v : xt) v = rng.Uniform(0.0, 1.0);
+  const int count = 11;
+  const std::vector<double> lo(count, std::nextafter(1.0, 0.0));
+  const std::vector<double> hi(count, 1.0);
+  for (const SimdOps* ops : AvailableSimdBackends()) {
+    const GoldenCall got(*ops, power, k, d, xt, kLaneStride, lo, hi, 1e-17,
+                         200);
+    for (int t = 0; t < count; ++t) {
+      EXPECT_EQ(got.endpoint[static_cast<size_t>(t)], 1)
+          << ops->name << " task " << t;
+    }
+  }
+}
+
 BezierCurve RandomCurve(int d, int k, Rng* rng) {
   Matrix control(d, k + 1);
   for (int i = 0; i < d; ++i) {
@@ -194,54 +373,207 @@ BezierCurve RandomCurve(int d, int k, Rng* rng) {
   return BezierCurve(control);
 }
 
+// A U-shaped cubic (d >= 2): out from near the origin along the first
+// axis and back 0.3 higher along the second, near 0.5 in every further
+// dimension. Points between the arms have two grid-local minima, one per
+// arm; points beyond the open end project onto s = 0 or s = 1. The
+// control points are jittered so that the power-basis value at s = 1
+// differs from the exact end control point the per-point endpoint branch
+// uses — otherwise an endpoint probe scored with the interior formula
+// would go unnoticed.
+BezierCurve UCurve(int d, Rng* rng) {
+  Matrix control(d, 4);
+  const double first[] = {0.0, 1.5, 1.5, 0.0};
+  const double second[] = {0.0, 0.0, 0.3, 0.3};
+  for (int r = 0; r < 4; ++r) {
+    control(0, r) = first[r] + rng->Uniform(-0.01, 0.01);
+    control(1, r) = second[r] + rng->Uniform(-0.01, 0.01);
+    for (int j = 2; j < d; ++j) control(j, r) = rng->Uniform(0.4, 0.6);
+  }
+  return BezierCurve(control);
+}
+
+// Rows for UCurve that reach every branch of the lock-step refinement:
+// between the arms (two brackets per row), beyond the start (s = 0) and
+// beyond the end (s = 1), plus scattered rows.
+Matrix HardRows(int n, int d, Rng* rng) {
+  Matrix data(n, d);
+  for (int i = 0; i < n; ++i) {
+    double x0 = 0.0;
+    double x1 = 0.0;
+    switch (i % 4) {
+      case 0:
+        x0 = rng->Uniform(0.1, 0.6);
+        x1 = rng->Uniform(0.13, 0.17);
+        break;
+      case 1:
+        x0 = rng->Uniform(-0.6, -0.2);
+        x1 = rng->Uniform(-0.3, -0.05);
+        break;
+      case 2:
+        x0 = rng->Uniform(-0.6, -0.2);
+        x1 = rng->Uniform(0.35, 0.6);
+        break;
+      default:
+        x0 = rng->Uniform(-0.3, 1.7);
+        x1 = rng->Uniform(-0.2, 0.5);
+        break;
+    }
+    data(i, 0) = x0;
+    data(i, 1) = x1;
+    for (int j = 2; j < d; ++j) data(i, j) = 0.5 + rng->Uniform(-0.05, 0.05);
+  }
+  return data;
+}
+
+// Grid-local minima of ||x - f(s)||^2 on the g-cell grid — the brackets
+// FinishGridFromDists refines.
+int GridLocalMinima(const BezierCurve& curve, const double* x, int g) {
+  std::vector<double> dist(static_cast<size_t>(g) + 1);
+  const Vector point(std::vector<double>(x, x + curve.dimension()));
+  for (int i = 0; i <= g; ++i) {
+    dist[static_cast<size_t>(i)] =
+        curve.SquaredDistanceAt(point, static_cast<double>(i) / g);
+  }
+  int minima = 0;
+  for (int i = 0; i <= g; ++i) {
+    const size_t ui = static_cast<size_t>(i);
+    if ((i == 0 || dist[ui] <= dist[ui - 1]) &&
+        (i == g || dist[ui] <= dist[ui + 1])) {
+      ++minima;
+    }
+  }
+  return minima;
+}
+
+// HardRows must actually contain the rows it promises.
+void ExpectHardRowsCoverBranches(const BezierCurve& curve, const Matrix& data,
+                                 const ProjectionOptions& options) {
+  ProjectionWorkspace workspace;
+  workspace.Bind(curve, options);
+  int two_minima = 0;
+  int at_start = 0;
+  int at_end = 0;
+  for (int i = 0; i < data.rows(); ++i) {
+    if (GridLocalMinima(curve, data.RowPtr(i), options.grid_points) >= 2) {
+      ++two_minima;
+    }
+    const double s = workspace.Project(data.RowPtr(i)).s;
+    if (s <= 1e-6) ++at_start;
+    if (s == 1.0) ++at_end;
+  }
+  EXPECT_GT(two_minima, 0);
+  EXPECT_GT(at_start, 0);
+  EXPECT_GT(at_end, 0);
+}
+
+// Per-row ground truth: Project on every row, plus the workspace counters.
+struct PerRowReference {
+  std::vector<double> s;
+  std::vector<double> squared;
+  double total = 0.0;
+  std::int64_t objective_evaluations = 0;
+  std::int64_t stationarity_evaluations = 0;
+
+  PerRowReference(const BezierCurve& curve, const Matrix& data,
+                  const ProjectionOptions& options) {
+    ProjectionWorkspace workspace;
+    workspace.Bind(curve, options);
+    for (int i = 0; i < data.rows(); ++i) {
+      const auto proj = workspace.Project(data.RowPtr(i));
+      s.push_back(proj.s);
+      squared.push_back(proj.squared_distance);
+      total += proj.squared_distance;
+    }
+    objective_evaluations = workspace.objective_evaluations();
+    stationarity_evaluations = workspace.stationarity_evaluations();
+  }
+};
+
+// ProjectBlock on the active backend against the per-row reference: s,
+// squared distance and both evaluation counters.
+void ExpectBlockMatchesPerRow(const BezierCurve& curve, const Matrix& data,
+                              const ProjectionOptions& options,
+                              const PerRowReference& reference,
+                              const char* label) {
+  ProjectionWorkspace block;
+  block.Bind(curve, options);
+  const int n = data.rows();
+  std::vector<double> s(static_cast<size_t>(n));
+  std::vector<double> squared(static_cast<size_t>(n));
+  block.ProjectBlock(data.RowPtr(0), n, data.cols(), s.data(),
+                     squared.data());
+  for (int i = 0; i < n; ++i) {
+    const size_t ui = static_cast<size_t>(i);
+    ASSERT_EQ(Bits(s[ui]), Bits(reference.s[ui]))
+        << label << " " << BackendName() << " method "
+        << static_cast<int>(options.method) << " row " << i;
+    ASSERT_EQ(Bits(squared[ui]), Bits(reference.squared[ui]))
+        << label << " " << BackendName() << " method "
+        << static_cast<int>(options.method) << " row " << i;
+  }
+  EXPECT_EQ(block.objective_evaluations(), reference.objective_evaluations)
+      << label << " " << BackendName() << " method "
+      << static_cast<int>(options.method);
+  EXPECT_EQ(block.stationarity_evaluations(),
+            reference.stationarity_evaluations)
+      << label << " " << BackendName() << " method "
+      << static_cast<int>(options.method);
+}
+
 // End-to-end equivalence fuzz: random degrees (the general-degree Horner
-// path included), dimensions and row counts; every compiled backend must
-// reproduce the scalar backend's batch scores, per-row squared distances
-// and total J bit for bit, for every grid-based method.
+// path included), dimensions and row counts, plus U-curve trials whose
+// rows have two grid-local minima or project onto s = 0 / s = 1. Under
+// every compiled backend forced in turn, the batch scores and total J, and
+// the block path's per-row s, squared distances and evaluation counters,
+// must equal per-row Project bit for bit, for every grid-based method.
+// Random trials span 1..150 rows (the per-row, plain block and lock-step
+// routes); U-curve trials have at least 16 rows, so the lock-step
+// refinement engages on the vector backends.
 TEST(SimdBackendTest, BatchProjectionBitIdenticalAcrossBackends) {
   const SimdBackendKind previous = ActiveSimdKind();
   Rng rng(77);
   const ProjectionMethod methods[] = {ProjectionMethod::kGoldenSection,
                                       ProjectionMethod::kGridOnly,
                                       ProjectionMethod::kNewton};
-  for (int trial = 0; trial < 10; ++trial) {
-    const int d = 1 + static_cast<int>(rng.UniformInt(12));
-    const int k = 1 + static_cast<int>(rng.UniformInt(5));
-    const int n = 1 + static_cast<int>(rng.UniformInt(150));
-    const BezierCurve curve = RandomCurve(d, k, &rng);
+  for (int trial = 0; trial < 14; ++trial) {
+    const bool hard = trial >= 10;
+    const int d = hard ? 2 + 5 * (trial - 10)
+                       : 1 + static_cast<int>(rng.UniformInt(12));
+    const int k = hard ? 3 : 1 + static_cast<int>(rng.UniformInt(5));
+    const int n = (hard ? 16 : 1) + static_cast<int>(rng.UniformInt(150));
+    const BezierCurve curve = hard ? UCurve(d, &rng) : RandomCurve(d, k, &rng);
     Matrix data(n, d);
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < d; ++j) data(i, j) = rng.Uniform(-0.3, 1.3);
+    if (hard) {
+      data = HardRows(n, d, &rng);
+    } else {
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < d; ++j) data(i, j) = rng.Uniform(-0.3, 1.3);
+      }
     }
     for (ProjectionMethod method : methods) {
       ProjectionOptions options;
       options.method = method;
       options.grid_points = 8 + static_cast<int>(rng.UniformInt(24));
+      if (hard && method == ProjectionMethod::kGoldenSection) {
+        ExpectHardRowsCoverBranches(curve, data, options);
+      }
 
       ASSERT_TRUE(SetSimdBackend(SimdBackendKind::kScalar));
-      // Per-row scalar reference, the ground truth every backend and the
-      // block path itself must match.
-      ProjectionWorkspace reference;
-      reference.Bind(curve, options);
-      std::vector<double> ref_s(static_cast<size_t>(n));
-      std::vector<double> ref_sq(static_cast<size_t>(n));
-      double ref_total = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const auto proj = reference.Project(data.RowPtr(i));
-        ref_s[static_cast<size_t>(i)] = proj.s;
-        ref_sq[static_cast<size_t>(i)] = proj.squared_distance;
-        ref_total += proj.squared_distance;
-      }
+      const PerRowReference reference(curve, data, options);
       for (const SimdOps* ops : AvailableSimdBackends()) {
         ASSERT_TRUE(SetSimdBackend(ops->kind));
         double total = 0.0;
         const Vector scores =
             opt::ProjectRowsBatch(curve, data, options, nullptr, &total);
         for (int i = 0; i < n; ++i) {
-          ASSERT_EQ(scores[i], ref_s[static_cast<size_t>(i)])
+          ASSERT_EQ(scores[i], reference.s[static_cast<size_t>(i)])
               << ops->name << " k=" << k << " d=" << d << " row " << i;
         }
-        ASSERT_EQ(total, ref_total) << ops->name << " k=" << k << " d=" << d;
+        ASSERT_EQ(total, reference.total)
+            << ops->name << " k=" << k << " d=" << d;
+        ExpectBlockMatchesPerRow(curve, data, options, reference,
+                                 hard ? "u-curve" : "random");
       }
     }
   }
@@ -249,33 +581,35 @@ TEST(SimdBackendTest, BatchProjectionBitIdenticalAcrossBackends) {
 }
 
 // The block path must preserve the evaluation-accounting invariant the
-// per-row path holds: workspace counters count exactly the evaluations the
-// solver performed, whatever backend ran the grid stage.
+// per-row path holds — workspace counters count exactly the evaluations
+// the solver performed — on every backend, including the lock-step
+// refinement's two-bracket rows and boundary projections, whose kernel
+// evaluation counts replace the per-row search's. At tol = 1e-17 the
+// searches of rows projecting onto s = 1 shrink their bracket until a
+// probe rounds to exactly 1.0, so the kernel flags them and the workspace
+// redoes them per point: that path must count each evaluation once.
 TEST(SimdBackendTest, BlockPathEvaluationAccountingMatchesPerRow) {
+  const SimdBackendKind previous = ActiveSimdKind();
   Rng rng(31);
-  const BezierCurve curve = RandomCurve(4, 3, &rng);
-  Matrix data(100, 4);
-  for (int i = 0; i < data.rows(); ++i) {
-    for (int j = 0; j < data.cols(); ++j) data(i, j) = rng.Uniform(-0.2, 1.2);
+  const BezierCurve curve = UCurve(6, &rng);
+  const Matrix data = HardRows(100, 6, &rng);
+  ExpectHardRowsCoverBranches(curve, data, ProjectionOptions{});
+  for (const SimdOps* ops : AvailableSimdBackends()) {
+    ASSERT_TRUE(SetSimdBackend(ops->kind));
+    for (ProjectionMethod method : {ProjectionMethod::kGoldenSection,
+                                    ProjectionMethod::kGridOnly,
+                                    ProjectionMethod::kNewton}) {
+      for (double tol : {1e-10, 1e-17}) {
+        ProjectionOptions options;
+        options.method = method;
+        options.tol = tol;
+        const PerRowReference reference(curve, data, options);
+        ExpectBlockMatchesPerRow(curve, data, options, reference,
+                                 "accounting");
+      }
+    }
   }
-  for (ProjectionMethod method : {ProjectionMethod::kGoldenSection,
-                                  ProjectionMethod::kGridOnly,
-                                  ProjectionMethod::kNewton}) {
-    ProjectionOptions options;
-    options.method = method;
-    ProjectionWorkspace per_row;
-    per_row.Bind(curve, options);
-    for (int i = 0; i < data.rows(); ++i) per_row.Project(data.RowPtr(i));
-
-    ProjectionWorkspace block;
-    block.Bind(curve, options);
-    std::vector<double> s(static_cast<size_t>(data.rows()));
-    block.ProjectBlock(data.RowPtr(0), data.rows(), data.cols(), s.data(),
-                       nullptr);
-    EXPECT_EQ(block.objective_evaluations(), per_row.objective_evaluations());
-    EXPECT_EQ(block.stationarity_evaluations(),
-              per_row.stationarity_evaluations());
-  }
+  ASSERT_TRUE(SetSimdBackend(previous));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "curve/simd_backend.h"
 #include "opt/curve_projection.h"
 #include "opt/incremental_projector.h"
 
@@ -130,6 +131,32 @@ TEST(ProjectionAllocationTest, ProjectLocalIsAllocationFree) {
         << "method " << static_cast<int>(method) << " (checksum " << checksum
         << ")";
   }
+}
+
+// The block path's lock-step Golden Section refinement collects brackets
+// into fixed-size wave scratch and runs each wave through one kernel call:
+// once a first block has settled the workspace, ProjectBlock allocates
+// nothing, on every backend (the scalar backend keeps the per-row search).
+TEST(ProjectionAllocationTest, GoldenSectionProjectBlockIsAllocationFree) {
+  const BezierCurve curve = MonotoneCubic(6, 23);
+  const Matrix data = RandomData(256, 6, 24);
+  const curve::SimdBackendKind previous = curve::ActiveSimdKind();
+  std::vector<double> s(static_cast<size_t>(data.rows()));
+  std::vector<double> squared(static_cast<size_t>(data.rows()));
+  for (const curve::SimdOps* ops : curve::AvailableSimdBackends()) {
+    ASSERT_TRUE(curve::SetSimdBackend(ops->kind));
+    ProjectionWorkspace workspace;
+    workspace.Bind(curve, ProjectionOptions{});
+    workspace.ProjectBlock(data.RowPtr(0), data.rows(), data.cols(), s.data(),
+                           squared.data());
+    const std::int64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    workspace.ProjectBlock(data.RowPtr(0), data.rows(), data.cols(), s.data(),
+                           squared.data());
+    const std::int64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0) << ops->name << " (s[0] " << s[0] << ")";
+  }
+  ASSERT_TRUE(curve::SetSimdBackend(previous));
 }
 
 }  // namespace
