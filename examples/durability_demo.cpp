@@ -168,8 +168,8 @@ int main() {
   for (int i = 0; i < probe.rows(); ++i) {
     probe.SetRow(i, initial.Row(13 * i + 2));
   }
-  const auto got = recovered_service.ScoreBatch("live", probe);
-  const auto want = reference_service.ScoreBatch("live", probe);
+  const auto got = recovered_service.Query("live", probe);
+  const auto want = reference_service.Query("live", probe);
   if (!got.ok() || !want.ok()) return 1;
   for (int i = 0; i < probe.rows(); ++i) {
     if (got->scores[i] != want->scores[i]) {

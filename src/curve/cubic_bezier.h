@@ -18,8 +18,9 @@ linalg::Vector CubicZ(double s);
 linalg::Matrix CubicZMatrix(const linalg::Vector& scores);
 
 /// Evaluates f(s) = P M z for a d x 4 control-point matrix P. Matches
-/// BezierCurve::Evaluate for degree 3; kept as the paper's matrix form and
-/// used by the learner's vectorised updates.
+/// BezierCurve::Evaluate for degree 3; kept as the paper's matrix form.
+/// The learner does not use it: its callers are bench_scaling and
+/// bench_ablation_update's dense baseline.
 linalg::Vector EvaluateCubic(const linalg::Matrix& p, double s);
 
 /// Reconstruction matrix P M Z (d x n): column i is f(s_i).

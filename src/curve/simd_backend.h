@@ -16,16 +16,15 @@ enum class SimdBackendKind {
   kNeon,
 };
 
-/// One backend's kernel table, five kernels. The two tile kernels read a
+/// One backend's kernel table, four kernels. The two tile kernels read a
 /// structure-of-arrays tile (opt::RowBlock layout): coordinate j of the
 /// block's rows is the contiguous lane tile[j * lane_stride .. j *
 /// lane_stride + rows), so they vectorise across rows — one row per SIMD
 /// lane — instead of across dimensions. power_squared_distance is the
 /// per-point refinement evaluation and vectorises across dimensions. The
-/// two task kernels (power_squared_distances_multi, golden_refine_multi)
-/// read a task-major tile of the same shape and vectorise across
-/// refinement tasks, one task per lane: the first evaluates one probe per
-/// task, the second runs each task's whole Golden Section Search.
+/// task kernel golden_refine_multi reads a task-major tile of the same
+/// shape and vectorises across refinement tasks, one task per lane, each
+/// lane running its task's whole Golden Section Search.
 ///
 /// Bit-identity contract: every kernel performs, per row, exactly the
 /// floating-point operation sequence of the scalar reference (the orderings
@@ -75,32 +74,15 @@ struct SimdOps {
   double (*power_squared_distance)(const double* power, int k, int d,
                                    double s, const double* x);
 
-  /// Batched form of power_squared_distance with a *per-lane parameter*:
-  /// dist[t] = ||x_t - f(s[t])||^2 for `count` independent points, where
-  /// point t's coordinates live in the task-major tile column
-  /// xt[j * lane_stride + t]. This is the evaluation step of
-  /// golden_refine_multi, which runs it once per search round: every task
-  /// evaluates its own probe parameter, so the kernel vectorises across
-  /// *tasks* — per dimension a broadcast-coefficient descending Horner
-  /// against the vector of s values. Per lane the operation sequence must
-  /// equal power_squared_distance exactly: dim-strided accumulator classes
-  /// combined ((l0 + l1) + (l2 + l3)) + sequential tail, no FMA, so a
-  /// task's refinement trajectory is bit-identical whether it runs here or
-  /// through the per-point scalar path.
-  void (*power_squared_distances_multi)(const double* power, int k, int d,
-                                        const double* xt, int lane_stride,
-                                        int count, const double* s,
-                                        double* dist);
-
   /// A whole Golden Section Search per lane: for each of `count` tasks
-  /// (coordinates in the task-major column xt[j * lane_stride + t], as in
-  /// power_squared_distances_multi) minimises ||x_t - f(s)||^2 over the
-  /// bracket [lo[t], hi[t]] and writes the minimiser s_out[t], its squared
-  /// distance dist_out[t] and the number of objective evaluations
-  /// evaluations[t]. This is the engine under the block path's lock-step
-  /// refinement (see ProjectionWorkspace::RefineGoldenBlock): each lane
-  /// runs its bracket's entire search in registers, so the per-round
-  /// bookkeeping vectorises along with the evaluations.
+  /// (coordinates in the task-major column xt[j * lane_stride + t])
+  /// minimises ||x_t - f(s)||^2 over the bracket [lo[t], hi[t]] and
+  /// writes the minimiser s_out[t], its squared distance dist_out[t] and
+  /// the number of objective evaluations evaluations[t]. This is the
+  /// engine under the block path's lock-step refinement (see
+  /// ProjectionWorkspace::RefineGoldenBlock): each lane runs its bracket's
+  /// entire search in registers, so the per-round bookkeeping vectorises
+  /// along with the evaluations.
   ///
   /// Per lane the result must equal opt::GoldenSectionMinimizeWith(f,
   /// lo[t], hi[t], tol, max_iterations) exactly, with f the
@@ -119,6 +101,12 @@ struct SimdOps {
                               int max_iterations, double* s_out,
                               double* dist_out, int* evaluations,
                               unsigned char* endpoint);
+  /// Tasks golden_refine_multi runs per vector (1 for kScalar). Tasks
+  /// left over after the last full vector run the scalar reference one
+  /// after another, so a caller may pad `count` up to a multiple of this
+  /// with dummy tasks whose results it drops (see
+  /// opt::ProjectionWorkspace::RunGoldenWave).
+  int golden_lanes;
 };
 
 /// The backend the process is using: chosen once, on first use, by CPU

@@ -175,23 +175,6 @@ inline __m256d PowerDistances4(const double* power, int k, int d,
       tail);
 }
 
-// Batched refinement kernel: four *tasks* per __m256d. The sub-register
-// task remainder runs the shared reference.
-void PowerSquaredDistancesMulti(const double* power, int k, int d,
-                                const double* xt, int lane_stride,
-                                int count, const double* s, double* dist) {
-  int t = 0;
-  for (; t + 4 <= count; t += 4) {
-    _mm256_storeu_pd(dist + t,
-                     PowerDistances4(power, k, d, xt + t, lane_stride,
-                                     _mm256_loadu_pd(s + t)));
-  }
-  if (t < count) {
-    internal::RefPowerSquaredDistancesMulti(power, k, d, xt + t, lane_stride,
-                                            count - t, s + t, dist + t);
-  }
-}
-
 // All-ones lanes where the parameter is exactly 0.0 or 1.0 (the per-point
 // endpoint branch's parameters).
 inline __m256d EndpointMask(__m256d s) {
@@ -295,8 +278,8 @@ constexpr SimdOps kAvx2Ops = {
     &TileSquaredDistancesFused,
     &TileSquaredDistancesSeq,
     &PowerSquaredDistance,
-    &PowerSquaredDistancesMulti,
     &GoldenRefineMulti,
+    4,
 };
 
 }  // namespace

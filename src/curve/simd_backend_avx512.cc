@@ -170,23 +170,6 @@ inline __m512d PowerDistances8(const double* power, int k, int d,
       tail);
 }
 
-// Batched refinement kernel: eight tasks per __m512d; the sub-register task
-// remainder runs the shared reference.
-void PowerSquaredDistancesMulti(const double* power, int k, int d,
-                                const double* xt, int lane_stride,
-                                int count, const double* s, double* dist) {
-  int t = 0;
-  for (; t + 8 <= count; t += 8) {
-    _mm512_storeu_pd(dist + t,
-                     PowerDistances8(power, k, d, xt + t, lane_stride,
-                                     _mm512_loadu_pd(s + t)));
-  }
-  if (t < count) {
-    internal::RefPowerSquaredDistancesMulti(power, k, d, xt + t, lane_stride,
-                                            count - t, s + t, dist + t);
-  }
-}
-
 // Lanes whose parameter is exactly 0.0 or 1.0 (the per-point endpoint
 // branch's parameters).
 inline __mmask8 EndpointMask(__m512d s) {
@@ -288,8 +271,8 @@ constexpr SimdOps kAvx512Ops = {
     &TileSquaredDistancesFused,
     &TileSquaredDistancesSeq,
     &PowerSquaredDistance,
-    &PowerSquaredDistancesMulti,
     &GoldenRefineMulti,
+    8,
 };
 
 }  // namespace

@@ -173,22 +173,6 @@ inline float64x2_t PowerDistances2(const double* power, int k, int d,
                    tail);
 }
 
-// Batched refinement kernel: two tasks per float64x2_t; the odd-task
-// remainder runs the shared reference.
-void PowerSquaredDistancesMulti(const double* power, int k, int d,
-                                const double* xt, int lane_stride,
-                                int count, const double* s, double* dist) {
-  int t = 0;
-  for (; t + 2 <= count; t += 2) {
-    vst1q_f64(dist + t, PowerDistances2(power, k, d, xt + t, lane_stride,
-                                        vld1q_f64(s + t)));
-  }
-  if (t < count) {
-    internal::RefPowerSquaredDistancesMulti(power, k, d, xt + t, lane_stride,
-                                            count - t, s + t, dist + t);
-  }
-}
-
 // All-ones lanes where the parameter is exactly 0.0 or 1.0 (the per-point
 // endpoint branch's parameters).
 inline uint64x2_t EndpointMask(float64x2_t s) {
@@ -288,8 +272,8 @@ constexpr SimdOps kNeonOps = {
     &TileSquaredDistancesFused,
     &TileSquaredDistancesSeq,
     &PowerSquaredDistance,
-    &PowerSquaredDistancesMulti,
     &GoldenRefineMulti,
+    2,
 };
 
 }  // namespace

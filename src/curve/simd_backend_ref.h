@@ -16,9 +16,13 @@
 // no reduction a vectoriser may reassociate across iterations of a single
 // row (each row's sum is a fixed sequential dependence chain) and every TU
 // builds with -ffp-contract=off, so no compiler may fuse the explicit
-// multiply+add pairs.
+// multiply+add pairs. The unnamed namespace gives every copy internal
+// linkage: with external linkage the linker would keep one copy for all
+// TUs, and an AVX-512-compiled one would break the scalar backend on CPUs
+// without AVX-512 (CI checks the static library for such weak symbols).
 
 namespace rpc::curve::internal {
+namespace {
 
 /// Fused reference ordering: four dim-strided accumulators + sequential
 /// tail, combined ((l0 + l1) + (l2 + l3)) + tail.
@@ -66,15 +70,17 @@ inline void RefTileSquaredDistancesSeq(const double* tile, int lane_stride,
 }
 
 /// Single-point squared distance against coefficient-major power-basis
-/// coefficients (row j of `power` = the d coefficients of s^j), fused
-/// reference ordering: four dim-strided lanes each running a descending
-/// Horner, combined ((l0 + l1) + (l2 + l3)) + tail. This is verbatim the
-/// ordering BezierEvalWorkspace::SquaredDistance historically ran inline
-/// at interior s (for cubics, ((a3 s + a2) s + a1) s + a0 IS this
-/// descending pass), so routing the per-point path through a backend's
-/// implementation of it changes no result bit.
-inline double RefPowerSquaredDistanceFused(const double* power, int k, int d,
-                                           double s, const double* x) {
+/// coefficients (row j of `power` = the d coefficients of s^j), with x's
+/// coordinates `x_stride` apart, in the fused reference ordering: four
+/// dim-strided lanes each running a descending Horner, combined
+/// ((l0 + l1) + (l2 + l3)) + tail. This is verbatim the ordering
+/// BezierEvalWorkspace::SquaredDistance runs inline at interior s (for
+/// cubics, ((a3 s + a2) s + a1) s + a0 IS this descending pass), so
+/// routing the per-point path through a backend's implementation of it
+/// changes no result bit.
+inline double RefPowerSquaredDistanceStrided(const double* power, int k,
+                                             int d, double s, const double* x,
+                                             std::size_t x_stride) {
   const std::size_t stride = static_cast<std::size_t>(d);
   const double* top = power + static_cast<std::size_t>(k) * stride;
   double lane0 = 0.0;
@@ -94,10 +100,11 @@ inline double RefPowerSquaredDistanceFused(const double* power, int k, int d,
       f2 = f2 * s + aj[i + 2];
       f3 = f3 * s + aj[i + 3];
     }
-    const double e0 = x[i] - f0;
-    const double e1 = x[i + 1] - f1;
-    const double e2 = x[i + 2] - f2;
-    const double e3 = x[i + 3] - f3;
+    const double* xi = x + static_cast<std::size_t>(i) * x_stride;
+    const double e0 = xi[0] - f0;
+    const double e1 = xi[x_stride] - f1;
+    const double e2 = xi[2 * x_stride] - f2;
+    const double e3 = xi[3 * x_stride] - f3;
     lane0 += e0 * e0;
     lane1 += e1 * e1;
     lane2 += e2 * e2;
@@ -109,70 +116,23 @@ inline double RefPowerSquaredDistanceFused(const double* power, int k, int d,
     for (int j = k - 1; j >= 0; --j) {
       f = f * s + power[static_cast<std::size_t>(j) * stride + i];
     }
-    const double diff = x[i] - f;
+    const double diff = x[static_cast<std::size_t>(i) * x_stride] - f;
     tail += diff * diff;
   }
   return ((lane0 + lane1) + (lane2 + lane3)) + tail;
 }
 
-/// Batched per-lane-parameter squared distances: task t's coordinates in
-/// the task-major column xt[j * lane_stride + t], its own parameter s[t].
-/// Per task this is RefPowerSquaredDistanceFused verbatim — same lane
-/// classes, same descending Horner, same combine — only the x loads are
-/// strided. Vector backends run the same sequence with tasks in parallel
-/// lanes and broadcast coefficients.
-inline void RefPowerSquaredDistancesMulti(const double* power, int k, int d,
-                                          const double* xt, int lane_stride,
-                                          int count, const double* s,
-                                          double* dist) {
-  const std::size_t stride = static_cast<std::size_t>(d);
-  const double* top = power + static_cast<std::size_t>(k) * stride;
-  for (int t = 0; t < count; ++t) {
-    const double st = s[t];
-    double lane0 = 0.0;
-    double lane1 = 0.0;
-    double lane2 = 0.0;
-    double lane3 = 0.0;
-    int i = 0;
-    for (; i + 4 <= d; i += 4) {
-      double f0 = top[i];
-      double f1 = top[i + 1];
-      double f2 = top[i + 2];
-      double f3 = top[i + 3];
-      for (int j = k - 1; j >= 0; --j) {
-        const double* aj = power + static_cast<std::size_t>(j) * stride;
-        f0 = f0 * st + aj[i];
-        f1 = f1 * st + aj[i + 1];
-        f2 = f2 * st + aj[i + 2];
-        f3 = f3 * st + aj[i + 3];
-      }
-      const double* xr = xt + static_cast<std::size_t>(i) * lane_stride + t;
-      const double e0 = xr[0 * static_cast<std::size_t>(lane_stride)] - f0;
-      const double e1 = xr[1 * static_cast<std::size_t>(lane_stride)] - f1;
-      const double e2 = xr[2 * static_cast<std::size_t>(lane_stride)] - f2;
-      const double e3 = xr[3 * static_cast<std::size_t>(lane_stride)] - f3;
-      lane0 += e0 * e0;
-      lane1 += e1 * e1;
-      lane2 += e2 * e2;
-      lane3 += e3 * e3;
-    }
-    double tail = 0.0;
-    for (; i < d; ++i) {
-      double f = top[i];
-      for (int j = k - 1; j >= 0; --j) {
-        f = f * st + power[static_cast<std::size_t>(j) * stride + i];
-      }
-      const double diff = xt[static_cast<std::size_t>(i) * lane_stride + t] - f;
-      tail += diff * diff;
-    }
-    dist[t] = ((lane0 + lane1) + (lane2 + lane3)) + tail;
-  }
+/// SimdOps::power_squared_distance's reference: contiguous x.
+inline double RefPowerSquaredDistanceFused(const double* power, int k, int d,
+                                           double s, const double* x) {
+  return RefPowerSquaredDistanceStrided(power, k, d, s, x, 1);
 }
 
 /// Per-lane Golden Section Search: for task t, opt::GoldenSectionMinimizeWith
-/// over [lo[t], hi[t]] with the RefPowerSquaredDistancesMulti objective
-/// for column t — the same constants, branch, loop test, result selection
-/// and evaluation count, written out here because curve/ sits below opt/.
+/// over [lo[t], hi[t]] with the RefPowerSquaredDistanceStrided objective on
+/// task-major column t — the same constants, branch, loop test, result
+/// selection and evaluation count, written out here because curve/ sits
+/// below opt/.
 /// endpoint[t] records whether any probe landed exactly on 0.0 or 1.0.
 /// Vector backends run this loop with one task per lane and mask selects.
 inline void RefGoldenRefineMulti(const double* power, int k, int d,
@@ -187,10 +147,8 @@ inline void RefGoldenRefineMulti(const double* power, int k, int d,
     bool hit_endpoint = false;
     const auto f = [&](double s) {
       hit_endpoint = hit_endpoint || s == 0.0 || s == 1.0;
-      double dist = 0.0;
-      RefPowerSquaredDistancesMulti(power, k, d, xt + t, lane_stride, 1, &s,
-                                    &dist);
-      return dist;
+      return RefPowerSquaredDistanceStrided(
+          power, k, d, s, xt + t, static_cast<std::size_t>(lane_stride));
     };
     double a = lo[t];
     double b = hi[t];
@@ -233,6 +191,7 @@ inline void RefGoldenRefineMulti(const double* power, int k, int d,
   }
 }
 
+}  // namespace
 }  // namespace rpc::curve::internal
 
 #endif  // RPC_CURVE_SIMD_BACKEND_REF_H_

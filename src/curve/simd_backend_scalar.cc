@@ -14,8 +14,8 @@ constexpr SimdOps kScalarOps = {
     &internal::RefTileSquaredDistancesFused,
     &internal::RefTileSquaredDistancesSeq,
     &internal::RefPowerSquaredDistanceFused,
-    &internal::RefPowerSquaredDistancesMulti,
     &internal::RefGoldenRefineMulti,
+    1,
 };
 
 }  // namespace

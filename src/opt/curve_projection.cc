@@ -498,56 +498,26 @@ void ProjectionWorkspace::ProjectPackedBlock(const RowBlock& block,
   }
   objective_evals_ += static_cast<std::int64_t>(g + 1) * count;
 
-  // Blocks too small to fill vector lanes pay the lock-step path's bracket
-  // transpose and padded kernel lanes for nothing — single-row serving
-  // queries land here — as does the scalar backend at any size.
-  constexpr int kGoldenLockStepMinRows = 16;
-  if (options_.method == ProjectionMethod::kGoldenSection &&
-      simd.kind != curve::SimdBackendKind::kScalar &&
-      count >= kGoldenLockStepMinRows) {
-    // Grid scan per row first (refinement deferred), then every bracket of
-    // every row refines in lock step through the whole-search kernel — one
-    // bracket per SIMD lane instead of one scalar search per row. The
-    // per-row path (below) and this one produce bit-identical results and
-    // counters, so the routing is purely a speed choice.
-    for (int i = 0; i < count; ++i) {
-      const double* x = rows + static_cast<size_t>(i) * row_stride;
-      block_results_[static_cast<size_t>(i)] = FinishGridFromDists(
-          x, grid_dist_block_.data() + i, RowBlock::kLaneStride,
-          /*refine=*/false);
-    }
-    RefineGoldenBlock(rows, row_stride, count, block_results_.data());
-    for (int i = 0; i < count; ++i) {
-      s_out[i] = block_results_[static_cast<size_t>(i)].s;
-      if (squared_out != nullptr) {
-        squared_out[i] = block_results_[static_cast<size_t>(i)].squared_distance;
-      }
-    }
-    return;
-  }
-
-  // Newton refinement (divergent solver state), the refinement-free grid
-  // scan and the scalar backend's Golden Section stay per row, fed by each
-  // row's column of kernel-computed grid distances.
+  // Grid scan per row, fed by each row's column of kernel-computed grid
+  // distances. Grid-only stops there; Newton refines inside the scan
+  // (divergent solver state); Golden Section defers refinement so every
+  // bracket of every row refines in lock step through the whole-search
+  // kernel, one bracket per SIMD lane, at any block size and on every
+  // backend. All three are bit-identical to Project, counters included.
   for (int i = 0; i < count; ++i) {
     const double* x = rows + static_cast<size_t>(i) * row_stride;
     const double* gd = grid_dist_block_.data() + i;
-    ProjectionResult result;
-    switch (options_.method) {
-      case ProjectionMethod::kGoldenSection:
-        result = FinishGridFromDists(x, gd, RowBlock::kLaneStride,
-                                     /*refine=*/true);
-        break;
-      case ProjectionMethod::kGridOnly:
-        result = FinishGridFromDists(x, gd, RowBlock::kLaneStride,
-                                     /*refine=*/false);
-        break;
-      case ProjectionMethod::kNewton:
-        result = FinishNewtonFromDists(x, gd, RowBlock::kLaneStride);
-        break;
-      case ProjectionMethod::kQuinticRoots:
-        break;  // unreachable: asserted above
-    }
+    block_results_[static_cast<size_t>(i)] =
+        options_.method == ProjectionMethod::kNewton
+            ? FinishNewtonFromDists(x, gd, RowBlock::kLaneStride)
+            : FinishGridFromDists(x, gd, RowBlock::kLaneStride,
+                                  /*refine=*/false);
+  }
+  if (options_.method == ProjectionMethod::kGoldenSection) {
+    RefineGoldenBlock(rows, row_stride, count, block_results_.data());
+  }
+  for (int i = 0; i < count; ++i) {
+    const ProjectionResult& result = block_results_[static_cast<size_t>(i)];
     s_out[i] = result.s;
     if (squared_out != nullptr) squared_out[i] = result.squared_distance;
   }
@@ -592,7 +562,23 @@ void ProjectionWorkspace::RunGoldenWave(const double* rows, int row_stride,
                                         int tasks, ProjectionResult* results) {
   constexpr int kMaxIterations = 200;  // GoldenSectionMinimizeWith's default
   GoldenWave& wave = golden_wave_;
-  eval_.GoldenRefineMulti(golden_xt_.data(), RowBlock::kMaxRows, tasks,
+  // Pad the wave to whole vectors with copies of its last task, whose
+  // results are dropped: small blocks then search in vector lanes instead
+  // of the scalar remainder path.
+  const int lanes = curve::ActiveSimd().golden_lanes;
+  const int padded =
+      std::min(RowBlock::kMaxRows, (tasks + lanes - 1) / lanes * lanes);
+  const int d = curve_->dimension();
+  for (int t = tasks; t < padded; ++t) {
+    wave.lo[t] = wave.lo[tasks - 1];
+    wave.hi[t] = wave.hi[tasks - 1];
+    for (int j = 0; j < d; ++j) {
+      double* column =
+          golden_xt_.data() + static_cast<size_t>(j) * RowBlock::kMaxRows;
+      column[t] = column[tasks - 1];
+    }
+  }
+  eval_.GoldenRefineMulti(golden_xt_.data(), RowBlock::kMaxRows, padded,
                           wave.lo, wave.hi, options_.tol, kMaxIterations,
                           wave.s, wave.dist, wave.evaluations, wave.endpoint);
   for (int t = 0; t < tasks; ++t) {
@@ -622,15 +608,11 @@ void ProjectionWorkspace::ProjectBlock(const double* rows, int count,
                                        int row_stride, double* s_out,
                                        double* squared_out) {
   assert(bound());
-  // The tile kernels vectorise across rows, so below a vector's worth of
-  // rows the block path is pure overhead (packing plus one indirect kernel
-  // call per grid point, each processing a near-empty tile) — single-row
-  // serving queries are the common case here. The per-row path is
-  // bit-identical (see ProjectPackedBlock), so this is purely a speed
-  // choice. Exact root solving has no grid stage to batch at any size.
-  constexpr int kBlockMinRows = 8;
-  if (options_.method == ProjectionMethod::kQuinticRoots ||
-      count < kBlockMinRows) {
+  // A single row has nothing to batch: packing it plus one kernel call per
+  // grid point on a one-lane tile costs more than Project's per-point
+  // evaluations, and single-row point queries are serving's common case.
+  // Exact root solving has no grid stage to batch at any size.
+  if (options_.method == ProjectionMethod::kQuinticRoots || count == 1) {
     for (int i = 0; i < count; ++i) {
       const ProjectionResult result =
           Project(rows + static_cast<size_t>(i) * row_stride);

@@ -102,15 +102,17 @@ class ProjectionWorkspace {
   /// curve::SimdOps kernels — the curve value f(s_g) is evaluated once per
   /// grid point for the whole block (instead of once per row) and the
   /// residual distances vectorise across rows, one row per SIMD lane.
-  /// Refinement (Golden Section / Newton) then runs per row exactly as
-  /// Project would. Writes s_out[i] and, when non-null, squared_out[i].
+  /// Golden Section then refines every row's brackets in lock step, one
+  /// whole search per SIMD lane (RefineGoldenBlock); Newton refines per
+  /// row. Writes s_out[i] and, when non-null, squared_out[i].
   ///
   /// Bit-identical to calling Project(row i) for every row, for every
   /// method and every backend (the SimdOps contract): the serial, batch,
   /// warm-start and serving paths may mix the two entry points freely.
-  /// kQuinticRoots has no grid stage and simply loops Project. Evaluation
-  /// accounting is preserved: the workspace counters and the implied
-  /// per-row evaluations match the per-row path exactly.
+  /// A single row (count == 1) and kQuinticRoots, which has no grid stage,
+  /// simply call Project. Evaluation accounting is preserved: the
+  /// workspace counters and the implied per-row evaluations match the
+  /// per-row path exactly.
   void ProjectBlock(const double* rows, int count, int row_stride,
                     double* s_out, double* squared_out);
 
@@ -201,7 +203,8 @@ class ProjectionWorkspace {
   void RefineGoldenBlock(const double* rows, int row_stride, int count,
                          ProjectionResult* results);
   /// Runs the first `tasks` collected brackets of golden_wave_ through the
-  /// kernel and applies their candidates (see RefineGoldenBlock).
+  /// kernel, padded to whole vectors, and applies their candidates (see
+  /// RefineGoldenBlock).
   void RunGoldenWave(const double* rows, int row_stride, int tasks,
                      ProjectionResult* results);
   /// Fills grid_f_ (f(s_g) for every grid point, lazily, once per Bind) for
@@ -267,7 +270,7 @@ class ProjectionWorkspace {
   };
   std::vector<double> golden_xt_;
   GoldenWave golden_wave_{};
-  // The lock-step path's per-row results (kMaxRows, sized per Bind).
+  // The block path's per-row results (kMaxRows, sized per Bind).
   std::vector<ProjectionResult> block_results_;
 
   std::int64_t objective_evals_ = 0;

@@ -783,18 +783,6 @@ Result<RankedBatch> RankingService::Query(const std::string& dataset_id,
   return QueryImpl(dataset_id, raw_rows, options);
 }
 
-Result<RankedBatch> RankingService::ScoreBatch(const std::string& dataset_id,
-                                               const Matrix& raw_rows) const {
-  return Query(dataset_id, raw_rows, QueryOptions());
-}
-
-Result<RankedBatch> RankingService::TryScoreBatch(
-    const std::string& dataset_id, const Matrix& raw_rows) const {
-  QueryOptions options;
-  options.admission = AdmissionPolicy::kReject;
-  return Query(dataset_id, raw_rows, options);
-}
-
 ServiceStats RankingService::stats() const {
   // Assembled from the same registry cells the exporters publish — the
   // legacy struct is a view, not a second set of books.

@@ -51,9 +51,9 @@ inline std::chrono::steady_clock::time_point QueryDeadline(
   return std::chrono::steady_clock::now() + budget;
 }
 
-/// Per-query policy for RankingService::Query. The default is exactly the
-/// legacy ScoreBatch behaviour: block for admission, no deadline, the
-/// dataset's default priority class.
+/// Per-query policy for RankingService::Query. The default blocks for
+/// admission, sets no deadline and uses the dataset's default priority
+/// class.
 struct QueryOptions {
   /// Absolute wall-clock bound (steady clock). Checked at admission, at
   /// segment dequeue and between rows; once it passes the query fails with
@@ -303,18 +303,6 @@ class RankingService {
   Result<RankedBatch> Query(const std::string& dataset_id,
                             const linalg::Matrix& raw_rows,
                             const QueryOptions& options = QueryOptions()) const;
-
-  /// Legacy wrapper, kept so existing call sites compile unchanged:
-  /// exactly Query with default options (block for admission, no deadline,
-  /// dataset-default priority). Prefer Query.
-  Result<RankedBatch> ScoreBatch(const std::string& dataset_id,
-                                 const linalg::Matrix& raw_rows) const;
-
-  /// Legacy wrapper: exactly Query with AdmissionPolicy::kReject — refuses
-  /// (kFailedPrecondition) instead of blocking when the admission queue
-  /// cannot take the whole query right now. Prefer Query.
-  Result<RankedBatch> TryScoreBatch(const std::string& dataset_id,
-                                    const linalg::Matrix& raw_rows) const;
 
   ServiceStats stats() const;
 

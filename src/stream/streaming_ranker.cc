@@ -782,12 +782,8 @@ Status StreamingRanker::RunColdRefit(ColdJob* job) {
                          normalizer.mins(), normalizer.maxs());
   curve::BezierCurve live;
   live.SetControlPoints(remapped);
-  opt::ProjectionWorkspace workspace;
-  workspace.Bind(live, options_.learner.projection);
   double live_j = 0.0;
-  for (int i = 0; i < normalized.rows(); ++i) {
-    live_j += workspace.Project(normalized.RowPtr(i)).squared_distance;
-  }
+  opt::ProjectRows(live, normalized, options_.learner.projection, &live_j);
   if (!(fit->final_j < live_j)) {
     // The cold fit found no better basin than the live (warm-maintained)
     // model; keep serving the incumbent.

@@ -196,7 +196,7 @@ TEST(BoundedQueueTest, ConcurrentTryPushPopDrainDeliversAdmittedExactly) {
           ++admitted;
           admitted_sum += value;
         }
-        // No retry: rejected items are shed, exactly like TryScoreBatch.
+        // No retry: rejected items are shed, exactly like kReject admission.
       }
     });
   }

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "curve/bezier.h"
+#include "curve/simd_backend_ref.h"
 #include "linalg/matrix.h"
 #include "opt/batch_projection.h"
 #include "opt/curve_projection.h"
@@ -32,13 +33,14 @@ TEST(SimdBackendTest, ScalarAlwaysAvailableAndFirst) {
   ASSERT_FALSE(backends.empty());
   EXPECT_EQ(backends[0]->kind, SimdBackendKind::kScalar);
   EXPECT_STREQ(backends[0]->name, "scalar");
+  EXPECT_EQ(backends[0]->golden_lanes, 1);
   for (const SimdOps* ops : backends) {
     ASSERT_NE(ops, nullptr);
     EXPECT_NE(ops->tile_squared_distances_fused, nullptr);
     EXPECT_NE(ops->tile_squared_distances_seq, nullptr);
     EXPECT_NE(ops->power_squared_distance, nullptr);
-    EXPECT_NE(ops->power_squared_distances_multi, nullptr);
     EXPECT_NE(ops->golden_refine_multi, nullptr);
+    EXPECT_GE(ops->golden_lanes, 1);
     EXPECT_STREQ(ops->name, SimdBackendName(ops->kind));
   }
 }
@@ -138,14 +140,21 @@ TEST(SimdBackendTest, PowerKernelBitIdenticalToScalarOnRandomCoefficients) {
   }
 }
 
-// The batched per-lane-parameter kernel (the lock-step Golden Section
-// engine) must match both the scalar reference and, lane by lane, the
-// per-point kernel it batches: random shapes, ragged task counts and
-// dimension tails, every compiled backend.
-TEST(SimdBackendTest, MultiKernelBitIdenticalToScalarAndPerPoint) {
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// The strided per-point reference, read down a task-major tile column, is
+// the objective of the reference Golden Section kernel (the scalar
+// backend's and every backend's remainder lanes). Lane by lane it must
+// equal every backend's per-point kernel: random shapes, ragged task
+// counts and dimension tails. Each backend's vector lanes are checked
+// bitwise by GoldenRefineKernelBitIdenticalToReference.
+TEST(SimdBackendTest, StridedReferenceBitIdenticalToPerPointKernels) {
   Rng rng(4242);
   const std::vector<const SimdOps*> backends = AvailableSimdBackends();
-  const SimdOps* scalar = backends[0];
   constexpr int kLaneStride = RowBlock::kMaxRows;
   for (int trial = 0; trial < 200; ++trial) {
     const int d = 1 + static_cast<int>(rng.UniformInt(40));
@@ -156,45 +165,24 @@ TEST(SimdBackendTest, MultiKernelBitIdenticalToScalarAndPerPoint) {
     for (double& v : power) v = rng.Uniform(-2.0, 2.0);
     std::vector<double> xt(static_cast<size_t>(d) * kLaneStride);
     for (double& v : xt) v = rng.Uniform(-2.0, 2.0);
-    std::vector<double> s(static_cast<size_t>(count));
-    for (double& v : s) v = rng.Uniform(1e-6, 1.0 - 1e-6);
 
-    std::vector<double> expected(static_cast<size_t>(count));
-    scalar->power_squared_distances_multi(power.data(), k, d, xt.data(),
-                                          kLaneStride, count, s.data(),
-                                          expected.data());
-    // Lane t of the batched kernel is the per-point kernel at (x_t, s_t).
     std::vector<double> x(static_cast<size_t>(d));
     for (int t = 0; t < count; ++t) {
+      const double s = rng.Uniform(1e-6, 1.0 - 1e-6);
+      const double got = internal::RefPowerSquaredDistanceStrided(
+          power.data(), k, d, s, xt.data() + t, kLaneStride);
       for (int j = 0; j < d; ++j) {
         x[static_cast<size_t>(j)] =
             xt[static_cast<size_t>(j) * kLaneStride + t];
       }
-      ASSERT_EQ(scalar->power_squared_distance(power.data(), k, d,
-                                               s[static_cast<size_t>(t)],
-                                               x.data()),
-                expected[static_cast<size_t>(t)])
-          << "multi vs per-point, task " << t << " k=" << k << " d=" << d;
-    }
-    for (const SimdOps* ops : backends) {
-      std::vector<double> got(static_cast<size_t>(count), -1.0);
-      ops->power_squared_distances_multi(power.data(), k, d, xt.data(),
-                                         kLaneStride, count, s.data(),
-                                         got.data());
-      for (int t = 0; t < count; ++t) {
-        ASSERT_EQ(got[static_cast<size_t>(t)],
-                  expected[static_cast<size_t>(t)])
+      for (const SimdOps* ops : backends) {
+        ASSERT_EQ(Bits(got), Bits(ops->power_squared_distance(
+                                 power.data(), k, d, s, x.data())))
             << ops->name << " k=" << k << " d=" << d << " count=" << count
             << " task " << t;
       }
     }
   }
-}
-
-std::uint64_t Bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
 }
 
 // One golden_refine_multi call's inputs and outputs.
@@ -294,10 +282,8 @@ TEST(SimdBackendTest, GoldenRefineKernelBitIdenticalToReference) {
           bool hit = false;
           const auto objective = [&](double s) {
             hit = hit || s == 0.0 || s == 1.0;
-            double dist = 0.0;
-            scalar->power_squared_distances_multi(
-                power.data(), k, d, xt.data() + t, kLaneStride, 1, &s, &dist);
-            return dist;
+            return internal::RefPowerSquaredDistanceStrided(
+                power.data(), k, d, s, xt.data() + t, kLaneStride);
           };
           const opt::ScalarMinResult gss = opt::GoldenSectionMinimizeWith(
               objective, lo[ut], hi[ut], tol, max_iterations);
@@ -491,34 +477,41 @@ struct PerRowReference {
 };
 
 // ProjectBlock on the active backend against the per-row reference: s,
-// squared distance and both evaluation counters.
+// squared distance and both evaluation counters. The rows go through one
+// workspace in consecutive ProjectBlock calls of `chunk` rows (0: one call
+// for all rows).
 void ExpectBlockMatchesPerRow(const BezierCurve& curve, const Matrix& data,
                               const ProjectionOptions& options,
                               const PerRowReference& reference,
-                              const char* label) {
+                              const char* label, int chunk = 0) {
   ProjectionWorkspace block;
   block.Bind(curve, options);
   const int n = data.rows();
+  if (chunk == 0) chunk = n;
   std::vector<double> s(static_cast<size_t>(n));
   std::vector<double> squared(static_cast<size_t>(n));
-  block.ProjectBlock(data.RowPtr(0), n, data.cols(), s.data(),
-                     squared.data());
+  for (int begin = 0; begin < n; begin += chunk) {
+    block.ProjectBlock(data.RowPtr(begin), std::min(chunk, n - begin),
+                       data.cols(), s.data() + begin, squared.data() + begin);
+  }
   for (int i = 0; i < n; ++i) {
     const size_t ui = static_cast<size_t>(i);
     ASSERT_EQ(Bits(s[ui]), Bits(reference.s[ui]))
         << label << " " << BackendName() << " method "
-        << static_cast<int>(options.method) << " row " << i;
+        << static_cast<int>(options.method) << " chunk " << chunk << " row "
+        << i;
     ASSERT_EQ(Bits(squared[ui]), Bits(reference.squared[ui]))
         << label << " " << BackendName() << " method "
-        << static_cast<int>(options.method) << " row " << i;
+        << static_cast<int>(options.method) << " chunk " << chunk << " row "
+        << i;
   }
   EXPECT_EQ(block.objective_evaluations(), reference.objective_evaluations)
       << label << " " << BackendName() << " method "
-      << static_cast<int>(options.method);
+      << static_cast<int>(options.method) << " chunk " << chunk;
   EXPECT_EQ(block.stationarity_evaluations(),
             reference.stationarity_evaluations)
       << label << " " << BackendName() << " method "
-      << static_cast<int>(options.method);
+      << static_cast<int>(options.method) << " chunk " << chunk;
 }
 
 // End-to-end equivalence fuzz: random degrees (the general-degree Horner
@@ -527,21 +520,27 @@ void ExpectBlockMatchesPerRow(const BezierCurve& curve, const Matrix& data,
 // every compiled backend forced in turn, the batch scores and total J, and
 // the block path's per-row s, squared distances and evaluation counters,
 // must equal per-row Project bit for bit, for every grid-based method.
-// Random trials span 1..150 rows (the per-row, plain block and lock-step
-// routes); U-curve trials have at least 16 rows, so the lock-step
-// refinement engages on the vector backends.
+// Random trials span 1..150 rows. U-curve trials 10..13 have at least 16
+// rows; trials 14..19 have 2..15, the small blocks live reads issue, so
+// two-minimum and s = 0 / s = 1 rows reach the lock-step refinement at
+// small counts on every backend.
 TEST(SimdBackendTest, BatchProjectionBitIdenticalAcrossBackends) {
   const SimdBackendKind previous = ActiveSimdKind();
   Rng rng(77);
   const ProjectionMethod methods[] = {ProjectionMethod::kGoldenSection,
                                       ProjectionMethod::kGridOnly,
                                       ProjectionMethod::kNewton};
-  for (int trial = 0; trial < 14; ++trial) {
+  constexpr int kSmallCounts[] = {2, 3, 5, 8, 12, 15};
+  for (int trial = 0; trial < 20; ++trial) {
     const bool hard = trial >= 10;
-    const int d = hard ? 2 + 5 * (trial - 10)
-                       : 1 + static_cast<int>(rng.UniformInt(12));
+    const bool small = trial >= 14;
+    const int d = small  ? 2 + 3 * (trial - 14)
+                  : hard ? 2 + 5 * (trial - 10)
+                         : 1 + static_cast<int>(rng.UniformInt(12));
     const int k = hard ? 3 : 1 + static_cast<int>(rng.UniformInt(5));
-    const int n = (hard ? 16 : 1) + static_cast<int>(rng.UniformInt(150));
+    const int n = small ? kSmallCounts[trial - 14]
+                        : (hard ? 16 : 1) +
+                              static_cast<int>(rng.UniformInt(150));
     const BezierCurve curve = hard ? UCurve(d, &rng) : RandomCurve(d, k, &rng);
     Matrix data(n, d);
     if (hard) {
@@ -555,7 +554,9 @@ TEST(SimdBackendTest, BatchProjectionBitIdenticalAcrossBackends) {
       ProjectionOptions options;
       options.method = method;
       options.grid_points = 8 + static_cast<int>(rng.UniformInt(24));
-      if (hard && method == ProjectionMethod::kGoldenSection) {
+      // HardRows' first three rows already reach two minima, s = 0 and
+      // s = 1.
+      if (hard && n >= 3 && method == ProjectionMethod::kGoldenSection) {
         ExpectHardRowsCoverBranches(curve, data, options);
       }
 
@@ -587,7 +588,9 @@ TEST(SimdBackendTest, BatchProjectionBitIdenticalAcrossBackends) {
 // evaluation counts replace the per-row search's. At tol = 1e-17 the
 // searches of rows projecting onto s = 1 shrink their bracket until a
 // probe rounds to exactly 1.0, so the kernel flags them and the workspace
-// redoes them per point: that path must count each evaluation once.
+// redoes them per point: that path must count each evaluation once. The
+// same holds when the rows arrive in small blocks (1..15 rows) or in
+// blocks straddling a vector width.
 TEST(SimdBackendTest, BlockPathEvaluationAccountingMatchesPerRow) {
   const SimdBackendKind previous = ActiveSimdKind();
   Rng rng(31);
@@ -604,8 +607,10 @@ TEST(SimdBackendTest, BlockPathEvaluationAccountingMatchesPerRow) {
         options.method = method;
         options.tol = tol;
         const PerRowReference reference(curve, data, options);
-        ExpectBlockMatchesPerRow(curve, data, options, reference,
-                                 "accounting");
+        for (int chunk : {0, 1, 2, 3, 7, 8, 15}) {
+          ExpectBlockMatchesPerRow(curve, data, options, reference,
+                                   "accounting", chunk);
+        }
       }
     }
   }

@@ -136,7 +136,8 @@ TEST(ProjectionAllocationTest, ProjectLocalIsAllocationFree) {
 // The block path's lock-step Golden Section refinement collects brackets
 // into fixed-size wave scratch and runs each wave through one kernel call:
 // once a first block has settled the workspace, ProjectBlock allocates
-// nothing, on every backend (the scalar backend keeps the per-row search).
+// nothing, on every backend, for full blocks and for the small 8-row
+// blocks live reads issue.
 TEST(ProjectionAllocationTest, GoldenSectionProjectBlockIsAllocationFree) {
   const BezierCurve curve = MonotoneCubic(6, 23);
   const Matrix data = RandomData(256, 6, 24);
@@ -145,16 +146,20 @@ TEST(ProjectionAllocationTest, GoldenSectionProjectBlockIsAllocationFree) {
   std::vector<double> squared(static_cast<size_t>(data.rows()));
   for (const curve::SimdOps* ops : curve::AvailableSimdBackends()) {
     ASSERT_TRUE(curve::SetSimdBackend(ops->kind));
-    ProjectionWorkspace workspace;
-    workspace.Bind(curve, ProjectionOptions{});
-    workspace.ProjectBlock(data.RowPtr(0), data.rows(), data.cols(), s.data(),
-                           squared.data());
-    const std::int64_t before =
-        g_allocations.load(std::memory_order_relaxed);
-    workspace.ProjectBlock(data.RowPtr(0), data.rows(), data.cols(), s.data(),
-                           squared.data());
-    const std::int64_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0) << ops->name << " (s[0] " << s[0] << ")";
+    for (int count : {data.rows(), 8}) {
+      ProjectionWorkspace workspace;
+      workspace.Bind(curve, ProjectionOptions{});
+      workspace.ProjectBlock(data.RowPtr(0), count, data.cols(), s.data(),
+                             squared.data());
+      const std::int64_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      workspace.ProjectBlock(data.RowPtr(0), count, data.cols(), s.data(),
+                             squared.data());
+      const std::int64_t after =
+          g_allocations.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0)
+          << ops->name << " count " << count << " (s[0] " << s[0] << ")";
+    }
   }
   ASSERT_TRUE(curve::SetSimdBackend(previous));
 }

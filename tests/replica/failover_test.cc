@@ -267,8 +267,8 @@ TEST_P(FailoverTest, KillPromoteFenceAndReattachStaysBitIdentical) {
   ExpectSnapshotsBitIdentical(candidate.snapshot(), primary.snapshot(),
                               "promoted vs never-crashed");
   {
-    const auto got = a_service.ScoreBatch("rep", probe);
-    const auto want = p_service.ScoreBatch("rep", probe);
+    const auto got = a_service.Query("rep", probe);
+    const auto want = p_service.Query("rep", probe);
     ASSERT_TRUE(got.ok() && want.ok());
     for (int i = 0; i < probe.rows(); ++i) {
       EXPECT_TRUE(BitEqual(got->scores[i], want->scores[i])) << "probe " << i;

@@ -195,8 +195,8 @@ TEST(ReplicationTest, StatelessStandbyBootstrapsAndTracksBitIdentically) {
     const auto want_version = primary_service.DatasetVersion("rep");
     ASSERT_TRUE(got_version.ok() && want_version.ok());
     EXPECT_EQ(*got_version, *want_version);
-    const auto got = standby_service.ScoreBatch("rep", probe);
-    const auto want = primary_service.ScoreBatch("rep", probe);
+    const auto got = standby_service.Query("rep", probe);
+    const auto want = primary_service.Query("rep", probe);
     ASSERT_TRUE(got.ok() && want.ok());
     for (int i = 0; i < probe.rows(); ++i) {
       EXPECT_TRUE(BitEqual(got->scores[i], want->scores[i])) << "probe " << i;
@@ -530,7 +530,7 @@ TEST(ReplicationTest, LostFeedDegradesToReadOnlyServingWithHonestStaleness) {
   const auto version = standby_service.DatasetVersion("rep");
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(*version, frozen_version);
-  EXPECT_TRUE(standby_service.ScoreBatch("rep", probe).ok());
+  EXPECT_TRUE(standby_service.Query("rep", probe).ok());
   EXPECT_EQ(standby.Append(raw.Row(0)).status().code(),
             StatusCode::kFailedPrecondition);
 

@@ -1,7 +1,7 @@
 // QoS behaviour of the unified Query entry point: deadline enforcement in
 // every phase (admission, queued, mid-execution), priority-class shedding
-// under saturation, micro-batch coalescing bit-identity, and exact
-// equivalence of the legacy ScoreBatch/TryScoreBatch wrappers.
+// under saturation, micro-batch coalescing bit-identity, and the two
+// admission policies.
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -54,44 +54,53 @@ Matrix RandomRows(int n, int d, uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Wrapper equivalence: the legacy methods are Query with fixed options.
+// Admission: default options block for queue room, kReject sheds.
 
-TEST(QosTest, ScoreBatchIsQueryWithDefaultOptions) {
-  RankingService service;
-  ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(3, 7)).ok());
-  const Matrix rows = RandomRows(64, 3, 8);
+// A backlogged service (one worker, a one-deep queue, one-row segments)
+// still completes a default-options Query: admission waits for room instead
+// of refusing, and the result equals the idle service's bit for bit.
+TEST(QosTest, DefaultQueryBlocksForAdmission) {
+  RankingService idle;
+  ASSERT_TRUE(idle.RegisterDataset("d", MonotoneModel(3, 7)).ok());
+  RankingService::Options options;
+  options.num_threads = 2;
+  options.queue_capacity = 1;
+  options.segment_rows = 1;
+  RankingService backlogged(options);
+  ASSERT_TRUE(backlogged.RegisterDataset("d", MonotoneModel(3, 7)).ok());
+  const Matrix rows = RandomRows(512, 3, 8);
 
-  const auto legacy = service.ScoreBatch("d", rows);
-  const auto unified = service.Query("d", rows);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(unified.ok());
-  ASSERT_EQ(legacy->scores.size(), unified->scores.size());
+  const auto want = idle.Query("d", rows);
+  const auto got = backlogged.Query("d", rows);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->scores.size(), want->scores.size());
   for (int i = 0; i < rows.rows(); ++i) {
-    // EXPECT_EQ, not NEAR: the wrapper must be the same code path bit for
-    // bit, not merely close.
-    EXPECT_EQ(legacy->scores[i], unified->scores[i]) << "row " << i;
-    EXPECT_EQ(legacy->ranks[static_cast<size_t>(i)],
-              unified->ranks[static_cast<size_t>(i)])
+    EXPECT_EQ(got->scores[i], want->scores[i]) << "row " << i;
+    EXPECT_EQ(got->ranks[static_cast<size_t>(i)],
+              want->ranks[static_cast<size_t>(i)])
         << "row " << i;
   }
+  EXPECT_EQ(backlogged.stats().rejected, 0);
 }
 
-TEST(QosTest, TryScoreBatchIsQueryWithRejectAdmission) {
-  // On an idle service both succeed identically...
+TEST(QosTest, RejectAdmissionShedsWithFailedPrecondition) {
+  QueryOptions reject;
+  reject.admission = AdmissionPolicy::kReject;
+  // On an idle service a kReject query is admitted and scores exactly like
+  // a default one...
   RankingService idle;
   ASSERT_TRUE(idle.RegisterDataset("d", MonotoneModel(2, 9)).ok());
   const Matrix small = RandomRows(16, 2, 10);
-  const auto legacy = idle.TryScoreBatch("d", small);
-  QueryOptions reject;
-  reject.admission = AdmissionPolicy::kReject;
-  const auto unified = idle.Query("d", small, reject);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(unified.ok());
+  const auto shed_free = idle.Query("d", small, reject);
+  const auto blocking = idle.Query("d", small);
+  ASSERT_TRUE(shed_free.ok());
+  ASSERT_TRUE(blocking.ok());
   for (int i = 0; i < small.rows(); ++i) {
-    EXPECT_EQ(legacy->scores[i], unified->scores[i]) << "row " << i;
+    EXPECT_EQ(shed_free->scores[i], blocking->scores[i]) << "row " << i;
   }
 
-  // ...and under backlog both refuse with the same code.
+  // ...and under backlog it refuses with kFailedPrecondition.
   RankingService::Options options;
   options.num_threads = 2;
   options.queue_capacity = 1;
@@ -99,21 +108,13 @@ TEST(QosTest, TryScoreBatchIsQueryWithRejectAdmission) {
   RankingService service(options);
   ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(2, 11)).ok());
   const Matrix rows = RandomRows(4096, 2, 12);
-  StatusCode legacy_code = StatusCode::kOk;
-  StatusCode unified_code = StatusCode::kOk;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const auto a = service.TryScoreBatch("d", rows);
-    if (!a.ok() && legacy_code == StatusCode::kOk) {
-      legacy_code = a.status().code();
-    }
-    const auto b = service.Query("d", rows, reject);
-    if (!b.ok() && unified_code == StatusCode::kOk) {
-      unified_code = b.status().code();
-    }
+  StatusCode code = StatusCode::kOk;
+  for (int attempt = 0; attempt < 3 && code == StatusCode::kOk; ++attempt) {
+    const auto batch = service.Query("d", rows, reject);
+    if (!batch.ok()) code = batch.status().code();
   }
-  EXPECT_EQ(legacy_code, StatusCode::kFailedPrecondition);
-  EXPECT_EQ(unified_code, StatusCode::kFailedPrecondition);
-  EXPECT_GE(service.stats().rejected, 2);
+  EXPECT_EQ(code, StatusCode::kFailedPrecondition);
+  EXPECT_GE(service.stats().rejected, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +137,7 @@ TEST(QosTest, DeadlineExpiredBeforeAdmissionNeverTouchesTheQueue) {
   EXPECT_EQ(stats.peak_queue_depth, 0);
 
   // The service is untouched and fully usable.
-  EXPECT_TRUE(service.ScoreBatch("d", RandomRows(8, 2, 15)).ok());
+  EXPECT_TRUE(service.Query("d", RandomRows(8, 2, 15)).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ TEST(QosTest, DeadlineExpiresWhileQueuedOrBlocked) {
   // No zombie work: once the failed Query returned, pending segments drain
   // promptly (expired ones are dropped at dequeue) and the service answers
   // fresh queries.
-  const auto after = service.ScoreBatch("d", RandomRows(8, 2, 18));
+  const auto after = service.Query("d", RandomRows(8, 2, 18));
   EXPECT_TRUE(after.ok());
 }
 
@@ -193,7 +194,7 @@ TEST(QosTest, DeadlineExpiresMidExecutionCancelsCooperatively) {
   EXPECT_EQ(stats.queries, 0);
 
   // Cancellation left the service healthy.
-  const auto after = service.ScoreBatch("d", RandomRows(8, 4, 21));
+  const auto after = service.Query("d", RandomRows(8, 4, 21));
   EXPECT_TRUE(after.ok());
 }
 
@@ -341,7 +342,7 @@ TEST(QosTest, PeakQueueDepthTracksAdmissionHighWaterMark) {
   ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(2, 31)).ok());
   EXPECT_EQ(service.stats().peak_queue_depth, 0);
 
-  ASSERT_TRUE(service.ScoreBatch("d", RandomRows(64, 2, 32)).ok());
+  ASSERT_TRUE(service.Query("d", RandomRows(64, 2, 32)).ok());
   const ServiceStats stats = service.stats();
   EXPECT_GE(stats.peak_queue_depth, 1);
   EXPECT_LE(stats.peak_queue_depth, options.queue_capacity);

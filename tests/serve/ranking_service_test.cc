@@ -102,16 +102,16 @@ TEST(RankingServiceTest, RejectsEmptyIdAndInvalidModel) {
 TEST(RankingServiceTest, UnknownDatasetAndShapeMismatch) {
   RankingService service;
   ASSERT_TRUE(service.RegisterDataset("d3", MonotoneModel(3, 5)).ok());
-  EXPECT_EQ(service.ScoreBatch("nope", RandomRows(4, 3, 6)).status().code(),
+  EXPECT_EQ(service.Query("nope", RandomRows(4, 3, 6)).status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(service.ScoreBatch("d3", RandomRows(4, 2, 7)).status().code(),
+  EXPECT_EQ(service.Query("d3", RandomRows(4, 2, 7)).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(RankingServiceTest, EmptyBatchShortCircuits) {
   RankingService service;
   ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(2, 8)).ok());
-  const auto batch = service.ScoreBatch("d", Matrix(0, 2));
+  const auto batch = service.Query("d", Matrix(0, 2));
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->scores.size(), 0);
   EXPECT_TRUE(batch->ranks.empty());
@@ -122,7 +122,7 @@ TEST(RankingServiceTest, ScoresMatchThePortableModel) {
   RankingService service;
   ASSERT_TRUE(service.RegisterDataset("d", model).ok());
   const Matrix rows = RandomRows(32, 3, 10);
-  const auto batch = service.ScoreBatch("d", rows);
+  const auto batch = service.Query("d", rows);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->scores.size(), 32);
   for (int i = 0; i < rows.rows(); ++i) {
@@ -136,7 +136,7 @@ TEST(RankingServiceTest, RanksAreTheWithinBatchOrder) {
   RankingService service;
   ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(2, 11)).ok());
   const Matrix rows = RandomRows(16, 2, 12);
-  const auto batch = service.ScoreBatch("d", rows);
+  const auto batch = service.Query("d", rows);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(static_cast<int>(batch->ranks.size()), 16);
   // rank r means: exactly r-1 rows score strictly better (or tie with a
@@ -165,7 +165,7 @@ TEST(RankingServiceTest, BitIdenticalAcrossThreadCountsAndSegmentSizes) {
       options.segment_rows = segment_rows;
       RankingService service(options);
       ASSERT_TRUE(service.RegisterDataset("d", model).ok());
-      const auto batch = service.ScoreBatch("d", rows);
+      const auto batch = service.Query("d", rows);
       ASSERT_TRUE(batch.ok());
       if (reference.empty()) {
         reference = batch->scores;
@@ -183,7 +183,7 @@ TEST(RankingServiceTest, BitIdenticalAcrossThreadCountsAndSegmentSizes) {
 
 TEST(RankingServiceTest, RegisterReplacesAtomicallyAndQueriesNeverTear) {
   // Two distinct models under the same id; a writer thread keeps swapping
-  // them while readers hammer ScoreBatch. Every returned batch must match
+  // them while readers hammer Query. Every returned batch must match
   // one model exactly — row-wise mixtures would mean a torn snapshot.
   const core::PortableRpcModel model_a = MonotoneModel(2, 15);
   const core::PortableRpcModel model_b = MonotoneModel(2, 16);
@@ -210,7 +210,7 @@ TEST(RankingServiceTest, RegisterReplacesAtomicallyAndQueriesNeverTear) {
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
       while (!stop.load()) {
-        const auto batch = service.ScoreBatch("d", rows);
+        const auto batch = service.Query("d", rows);
         if (!batch.ok()) continue;  // swapped out mid-lookup: never expected
         bool all_a = true;
         bool all_b = true;
@@ -246,7 +246,7 @@ TEST(RankingServiceTest, EvictionDoesNotDisturbInFlightQueries) {
   std::atomic<int> wrong{0};
   std::thread reader([&] {
     while (!stop.load()) {
-      const auto batch = service.ScoreBatch("d", rows);
+      const auto batch = service.Query("d", rows);
       if (!batch.ok()) continue;  // evicted: kNotFound is the correct answer
       for (int i = 0; i < rows.rows(); ++i) {
         if (batch->scores[i] != expected[i]) ++wrong;
@@ -292,7 +292,7 @@ TEST(RankingServiceTest, ConcurrentQueriesAcrossManyShards) {
       for (int q = 0; q < 25; ++q) {
         const int s = (c + q) % kShards;
         const auto batch =
-            service.ScoreBatch("ds" + std::to_string(s), queries[s]);
+            service.Query("ds" + std::to_string(s), queries[s]);
         if (!batch.ok()) {
           ++mismatches;
           continue;
@@ -312,7 +312,7 @@ TEST(RankingServiceTest, ConcurrentQueriesAcrossManyShards) {
   EXPECT_GE(stats.peak_queue_depth, 1);
 }
 
-TEST(RankingServiceTest, TryScoreBatchRejectsWhenBacklogged) {
+TEST(RankingServiceTest, RejectAdmissionShedsWhenBacklogged) {
   RankingService::Options options;
   options.num_threads = 2;     // one worker draining
   options.queue_capacity = 1;  // tiny admission window
@@ -323,9 +323,11 @@ TEST(RankingServiceTest, TryScoreBatchRejectsWhenBacklogged) {
   // 4096 one-row segments through a 1-deep queue: the single worker cannot
   // keep up with the push loop, so admission must refuse at some point.
   const Matrix rows = RandomRows(4096, 2, 21);
+  QueryOptions reject;
+  reject.admission = AdmissionPolicy::kReject;
   bool rejected = false;
   for (int attempt = 0; attempt < 3 && !rejected; ++attempt) {
-    const auto batch = service.TryScoreBatch("d", rows);
+    const auto batch = service.Query("d", rows, reject);
     if (!batch.ok()) {
       EXPECT_EQ(batch.status().code(), StatusCode::kFailedPrecondition);
       rejected = true;
@@ -335,7 +337,7 @@ TEST(RankingServiceTest, TryScoreBatchRejectsWhenBacklogged) {
   EXPECT_GE(service.stats().rejected, 1);
 
   // The service stays fully usable after rejections.
-  const auto ok_batch = service.ScoreBatch("d", RandomRows(8, 2, 22));
+  const auto ok_batch = service.Query("d", RandomRows(8, 2, 22));
   EXPECT_TRUE(ok_batch.ok());
 }
 

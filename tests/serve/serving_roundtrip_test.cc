@@ -81,7 +81,7 @@ TEST(ServingRoundTripTest, NonDefaultProjectionMethodAlsoRoundTrips) {
   RankingService service(options);
   ASSERT_TRUE(service.RegisterDataset("c", ranker->ToPortableModel()).ok());
 
-  const auto batch = service.ScoreBatch("c", ds.values());
+  const auto batch = service.Query("c", ds.values());
   ASSERT_TRUE(batch.ok());
   for (int i = 0; i < ds.values().rows(); ++i) {
     EXPECT_EQ(batch->scores[i], ranker->Score(ds.values().Row(i)))

@@ -113,8 +113,8 @@ void ExpectServedScoresMatch(serve::RankingService* got_service,
   const auto want_version = want_service->DatasetVersion(dataset);
   ASSERT_TRUE(got_version.ok() && want_version.ok()) << where;
   EXPECT_EQ(*got_version, *want_version) << where;
-  const auto got = got_service->ScoreBatch(dataset, probe);
-  const auto want = want_service->ScoreBatch(dataset, probe);
+  const auto got = got_service->Query(dataset, probe);
+  const auto want = want_service->Query(dataset, probe);
   ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
   ASSERT_TRUE(want.ok()) << where;
   for (int i = 0; i < probe.rows(); ++i) {

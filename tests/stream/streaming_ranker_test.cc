@@ -19,6 +19,7 @@
 #include "data/normalizer.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
+#include "opt/curve_projection.h"
 #include "order/orientation.h"
 #include "serve/ranking_service.h"
 
@@ -74,7 +75,7 @@ TEST(StreamingRankerTest, StartPublishesVersionOneAndServesBitIdentically) {
   ASSERT_EQ(snap.scores.size(), raw.rows());
 
   // Served scores == the portable model's own scoring, bit for bit.
-  const auto batch = service.ScoreBatch("live", raw);
+  const auto batch = service.Query("live", raw);
   ASSERT_TRUE(batch.ok());
   for (int i = 0; i < raw.rows(); ++i) {
     const auto expected = snap.model.Score(raw.Row(i));
@@ -178,7 +179,7 @@ TEST(StreamingRankerTest, ServedScoresTrackVersionedSwapsExactly) {
     EXPECT_EQ(*version, snap.version);
     EXPECT_EQ(snap.version, static_cast<std::uint64_t>(round) + 2);
 
-    const auto batch = service.ScoreBatch("live", probe);
+    const auto batch = service.Query("live", probe);
     ASSERT_TRUE(batch.ok());
     for (int i = 0; i < probe.rows(); ++i) {
       const auto expected = snap.model.Score(probe.Row(i));
@@ -302,6 +303,103 @@ TEST(StreamingRankerTest, StopDrainsAdmittedEvents) {
   ranker.Stop();  // must process all 30 admitted appends before joining
   EXPECT_EQ(ranker.stats().appended, 30);
   EXPECT_EQ(ranker.stats().rows, 70);
+}
+
+// Runs one background cold refit in fully serial mode and replays its
+// publish-if-better decision by hand: a full Fit on the job's normalized
+// rows against the live model's J, summed by a per-row Project loop. The
+// ranker must take the same decision (adopt: publish the cold fit's model
+// and scores; reject: keep the incumbent). `scale` is how far the appended
+// rows stray from the fitted data. Sets *adopted to the decision.
+void ExpectColdRefitDecisionMatchesHandRolled(std::uint64_t seed, double scale,
+                                              bool* adopted) {
+  const Orientation alpha = *Orientation::FromSigns({+1, -1, +1});
+  const Matrix raw = RawFixture(alpha, 60, seed);
+  constexpr int kColdPeriod = 12;
+  StreamingRankerOptions options = QuietOptions();
+  options.num_threads = 1;
+  options.drift.cold_refit_period_events = kColdPeriod;
+  StreamingRanker ranker(nullptr, "live", options);
+  ASSERT_TRUE(ranker.Start(raw, alpha).ok());
+
+  std::unordered_map<std::int64_t, Vector> rows_by_id;
+  for (int i = 0; i < raw.rows(); ++i) rows_by_id[i] = raw.Row(i);
+  for (int a = 0; a + 1 < kColdPeriod; ++a) {
+    const Vector row = RandomRowNear(raw, seed * 100 + a, scale);
+    const auto id = ranker.Append(row);
+    ASSERT_TRUE(id.ok());
+    rows_by_id[*id] = row;
+  }
+  const StreamingRanker::Snapshot before = ranker.snapshot();
+  ASSERT_EQ(ranker.stats().cold_refits + ranker.stats().cold_rejected, 0);
+  // The period's last event fires the cold refit. A copy of a fitted row
+  // leaves the live bounds as `before` recorded them.
+  const auto last_id = ranker.Append(raw.Row(0));
+  ASSERT_TRUE(last_id.ok());
+  rows_by_id[*last_id] = raw.Row(0);
+  ASSERT_TRUE(ranker.Flush().ok());
+
+  std::vector<std::int64_t> row_ids = before.row_ids;
+  row_ids.push_back(*last_id);
+  Matrix rows(static_cast<int>(row_ids.size()), raw.cols());
+  for (size_t i = 0; i < row_ids.size(); ++i) {
+    rows.SetRow(static_cast<int>(i), rows_by_id.at(row_ids[i]));
+  }
+  const auto normalizer =
+      data::Normalizer::FromBounds(before.live_mins, before.live_maxs);
+  ASSERT_TRUE(normalizer.ok());
+  const Matrix normalized = normalizer->Transform(rows);
+  const auto fit = core::RpcLearner(options.learner).Fit(normalized, alpha);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  curve::BezierCurve live;
+  live.SetControlPoints(RemapControlPoints(
+      before.model.control_points, before.model.mins, before.model.maxs,
+      before.live_mins, before.live_maxs));
+  opt::ProjectionWorkspace workspace;
+  workspace.Bind(live, options.learner.projection);
+  double live_j = 0.0;
+  for (int i = 0; i < normalized.rows(); ++i) {
+    live_j += workspace.Project(normalized.RowPtr(i)).squared_distance;
+  }
+  *adopted = fit->final_j < live_j;
+
+  const StreamStats stats = ranker.stats();
+  EXPECT_EQ(stats.cold_refits, *adopted ? 1 : 0) << "seed " << seed;
+  EXPECT_EQ(stats.cold_rejected, *adopted ? 0 : 1) << "seed " << seed;
+  const StreamingRanker::Snapshot after = ranker.snapshot();
+  EXPECT_EQ(after.version, before.version + (*adopted ? 1 : 0));
+  const Matrix& expected_control = *adopted ? fit->curve.control_points()
+                                            : before.model.control_points;
+  for (int j = 0; j < expected_control.rows(); ++j) {
+    for (int r = 0; r < expected_control.cols(); ++r) {
+      EXPECT_EQ(after.model.control_points(j, r), expected_control(j, r))
+          << "seed " << seed;
+    }
+  }
+  if (*adopted) {
+    ASSERT_EQ(after.scores.size(), fit->scores.size());
+    for (int i = 0; i < fit->scores.size(); ++i) {
+      EXPECT_EQ(after.scores[i], fit->scores[i]) << "seed " << seed;
+    }
+  }
+}
+
+// The cold refit's incumbent check sums the live model's J through the
+// block projection route; its adopt/reject decisions must be those of the
+// per-row sum, on fixtures that reach both outcomes.
+TEST(StreamingRankerTest, ColdRefitDecisionsMatchPerRowIncumbentJ) {
+  int adopted_runs = 0;
+  int rejected_runs = 0;
+  for (std::uint64_t seed : {71, 72, 73, 74}) {
+    for (double scale : {0.0, 0.3}) {
+      bool adopted = false;
+      ExpectColdRefitDecisionMatchesHandRolled(seed, scale, &adopted);
+      if (HasFatalFailure()) return;
+      ++(adopted ? adopted_runs : rejected_runs);
+    }
+  }
+  EXPECT_GT(adopted_runs, 0);
+  EXPECT_GT(rejected_runs, 0);
 }
 
 TEST(RemapControlPointsTest, RemapPreservesRawSpaceGeometry) {
