@@ -1,7 +1,7 @@
 // Serving-tier latency under QoS: per-priority-class latency quantiles
 // (p50/p99/p999) of serve::RankingService at saturating mixed-priority
 // load, plus a single-thread closed-loop row whose queries_per_sec the CI
-// regression gate checks, plus a micro-batch coalescing row.
+// regression gate checks, plus a concurrent single-row (point query) row.
 //
 // Before any timing the served scores are verified bit-identical to
 // PortableRpcModel::Score (the same normalise + project arithmetic
@@ -78,7 +78,6 @@ struct ClassResult {
   std::int64_t completed = 0;
   std::int64_t shed = 0;
   std::int64_t deadline_expired = 0;
-  std::int64_t coalesced = 0;
   double seconds = 0.0;
 
   void Merge(const ClassResult& other) {
@@ -87,7 +86,6 @@ struct ClassResult {
     completed += other.completed;
     shed += other.shed;
     deadline_expired += other.deadline_expired;
-    coalesced += other.coalesced;
   }
 };
 
@@ -116,8 +114,7 @@ void EmitJson(std::FILE* sink, const char* variant, const char* priority,
       ",\"p999_us\":" + std::to_string(Quantile(r.latencies_us, 0.999)) +
       ",\"completed\":" + std::to_string(r.completed) +
       ",\"shed\":" + std::to_string(r.shed) +
-      ",\"deadline_expired\":" + std::to_string(r.deadline_expired) +
-      ",\"coalesced\":" + std::to_string(r.coalesced) + "}";
+      ",\"deadline_expired\":" + std::to_string(r.deadline_expired) + "}";
   std::printf("%s\n", line.c_str());
   if (sink != nullptr) std::fprintf(sink, "%s\n", line.c_str());
 }
@@ -143,7 +140,6 @@ ClassResult Drive(const RankingService& service, const Matrix& rows,
     const auto after = std::chrono::steady_clock::now();
     if (batch.ok()) {
       ++result.completed;
-      if (batch->trace.coalesced) ++result.coalesced;
       result.latencies_us.push_back(
           std::chrono::duration<double, std::micro>(after - before).count());
     } else if (batch.status().code() ==
@@ -298,22 +294,20 @@ int main(int argc, char** argv) {
              r_background);
   }
 
-  // -- Row 5: micro-batch coalescing. Four callers issue single-row
-  //    queries; the 200 us window groups them so several rides share one
-  //    workspace checkout + dispatch.
+  // -- Row 5: concurrent point queries. Four callers issue single-row
+  //    queries against a default-options service sized to the machine;
+  //    each query is one segment on the shared pool. Multi-thread, so
+  //    reported, never gated.
   {
     RankingService::Options options;
     options.num_threads = 0;
-    options.max_coalesce_delay = std::chrono::microseconds(200);
-    options.coalesce_max_rows = 4;
-    options.coalesce_flush_rows = 16;
     RankingService service(options);
     if (!service.RegisterDataset("ds", model).ok()) return 1;
     const Matrix one = RandomRows(1, kDim, 10);
     if (VerifyBitIdentity(service, model, one) != 0) return 1;
     ClassResult r =
         DriveConcurrent(service, one, QueryOptions(), 4, min_seconds);
-    EmitJson(sink, "coalesce", "interactive", one.rows(), 0, 4, r);
+    EmitJson(sink, "point_concurrent", "interactive", one.rows(), 0, 4, r);
   }
 
   if (sink != nullptr) std::fclose(sink);

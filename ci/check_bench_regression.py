@@ -74,7 +74,6 @@ METRIC_FIELDS = {
     "completed",
     "shed",
     "deadline_expired",
-    "coalesced",
     "overhead_pct",
 }
 

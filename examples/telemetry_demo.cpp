@@ -1,7 +1,7 @@
 // telemetry_demo — the observability subsystem end to end:
 //
-//   1. Serve a workload (two datasets, mixed batch sizes, a coalesced
-//      pair) so the registry fills with real counters and histograms.
+//   1. Serve a workload (two datasets, mixed batch sizes) so the
+//      registry fills with real counters and histograms.
 //   2. Trace one query with an explicit trace id and reconstruct its
 //      span timeline (admission -> queued -> execute) from the rings.
 //   3. Slow-query log: a threshold routes offending queries — with their
@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
   RankingService::Options options;
   options.telemetry_sink = &sink;
   options.slow_query_threshold = std::chrono::nanoseconds(1);  // log all
-  options.max_coalesce_delay = std::chrono::milliseconds(1);
   RankingService service(options);
   for (const char* id : {"countries", "journals"}) {
     const rpc::Status registered = service.RegisterDataset(

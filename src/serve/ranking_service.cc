@@ -53,10 +53,6 @@ const char* PriorityLabel(int priority) {
 
 }  // namespace
 
-int LatencyHistogram::BucketFor(std::chrono::nanoseconds latency) {
-  return obs::LatencyBucketForUs(latency.count() / 1000);
-}
-
 std::int64_t LatencyHistogram::total() const {
   std::int64_t n = 0;
   for (const std::int64_t count : buckets) n += count;
@@ -92,17 +88,11 @@ struct RankingService::BatchState {
   /// Latched once the deadline is first observed as passed; every segment
   /// of this query checks it and bails instead of scoring further rows.
   std::atomic<bool> expired{false};
-  /// Set when the service shut down before the query could be admitted.
-  std::atomic<bool> shutdown{false};
   /// Steady-clock nanos at which the query's last segment was admitted;
-  /// written by whichever thread admitted it (the caller, or a coalesced
-  /// group's sealer), read by the caller for QueryTrace — relaxed atomics
-  /// because the split is observability, not synchronisation.
+  /// written by the caller after its pushes, read by workers for the
+  /// queued span and by the caller for QueryTrace — relaxed because the
+  /// split is observability, not synchronisation.
   std::atomic<std::int64_t> admitted_ns{0};
-  /// Written by the group sealer under the coalesce mutex before the group
-  /// is pushed, read by the caller after Wait (ordered by the push/pop and
-  /// latch mutexes).
-  bool coalesced = false;
   /// Trace-context for this query's spans (0 = untraced); written by the
   /// caller before admission, read by whichever worker executes it.
   obs::TraceId trace_id = 0;
@@ -130,31 +120,9 @@ struct RankingService::BatchState {
   }
 };
 
-/// A pending micro-batch: several small queries on one shard riding a
-/// single execution segment (one workspace checkout, one dispatch). Joins
-/// happen under the shard's coalesce mutex while the group is the shard's
-/// open group; sealing (clearing that slot) claims the right to admit it.
-struct RankingService::CoalesceGroup {
-  struct Entry {
-    const linalg::Matrix* rows = nullptr;
-    double* scores_out = nullptr;
-    int n = 0;
-    BatchState* state = nullptr;
-  };
-  std::vector<Entry> entries;
-  int total_rows = 0;
-  int lane = 0;  // most important lane among the riders
-  Clock::time_point flush_at;
-  /// When the leader opened the group; start of every rider's
-  /// "serve.coalesce" span.
-  std::int64_t opened_ns = 0;
-  bool sealed = false;
-  std::condition_variable sealed_cv;  // the leader waits here
-};
-
 /// Everything one dataset needs to answer queries, built whole before it is
 /// published (copy-on-write) and immutable afterwards except the free list,
-/// the coalescing slot and counters, which are internally synchronised.
+/// which is internally synchronised.
 struct RankingService::Shard {
   core::PortableRpcModel model;
   /// The validated curve behind a shared_ptr: workspaces co-own it via
@@ -178,11 +146,6 @@ struct RankingService::Shard {
   /// is always finite), return = Push (never blocks: capacity == slots).
   mutable BoundedQueue<int> free_slots;
 
-  /// At most one open coalescing group per shard snapshot; guarded by
-  /// coalesce_mu together with every group's membership and sealed flag.
-  mutable std::mutex coalesce_mu;
-  mutable std::shared_ptr<CoalesceGroup> open_group;
-
   explicit Shard(int num_slots) : free_slots(num_slots) {}
 };
 
@@ -195,9 +158,6 @@ RankingService::RankingService(const Options& options)
     options_.workspaces_per_shard = pool_->parallelism();
   }
   if (options_.segment_rows < 1) options_.segment_rows = 1;
-  options_.coalesce_max_rows = std::max(options_.coalesce_max_rows, 1);
-  options_.coalesce_flush_rows =
-      std::max(options_.coalesce_flush_rows, options_.coalesce_max_rows);
   for (int p = 0; p < kNumPriorities; ++p) {
     const double share = options_.shedding.queue_share[static_cast<size_t>(p)];
     queue_.SetLaneLimit(
@@ -229,9 +189,6 @@ RankingService::RankingService(const Options& options)
   expired_segments_ =
       registry.GetCounter("rpc_serve_expired_segments_total", labels,
                           "Segments skipped or abandoned past their deadline");
-  coalesced_queries_ =
-      registry.GetCounter("rpc_serve_coalesced_queries_total", labels,
-                          "Queries served inside a shared coalesced group");
   for (int p = 0; p < kNumPriorities; ++p) {
     obs::Labels shed_labels = labels;
     shed_labels.emplace_back("priority", PriorityLabel(p));
@@ -408,51 +365,11 @@ bool RankingService::ScoreRows(const Shard& shard, int slot_index,
   return true;
 }
 
-void RankingService::RunGroup(const Segment& seg) const {
-  const Shard& shard = *seg.shard;
-  const std::optional<int> slot_index = shard.free_slots.Pop();
-  if (!slot_index.has_value()) return;  // unreachable: free_slots never closes
-  // One checkout for every rider — the amortisation coalescing exists for.
-  for (const CoalesceGroup::Entry& entry : seg.group->entries) {
-    BatchState& state = *entry.state;
-    const obs::TraceId trace = state.trace_id;
-    if (state.ExpiredNow()) {
-      expired_segments_.Increment();
-      state.Finish();
-      continue;
-    }
-    std::int64_t run_start_ns = 0;
-    if (trace != 0) {
-      run_start_ns = obs::TraceNowNs();
-      const std::int64_t admitted =
-          state.admitted_ns.load(std::memory_order_relaxed);
-      obs::EmitSpan(trace, "serve.queued",
-                    admitted > 0 && admitted <= run_start_ns ? admitted
-                                                             : run_start_ns,
-                    run_start_ns);
-    }
-    if (!ScoreRows(shard, *slot_index, *entry.rows, 0, entry.n,
-                   entry.scores_out, state)) {
-      expired_segments_.Increment();
-    }
-    if (trace != 0) {
-      obs::EmitSpan(trace, "serve.execute", run_start_ns, obs::TraceNowNs());
-    }
-    state.Finish();
-  }
-  shard.free_slots.Push(*slot_index);
-}
-
 void RankingService::RunOneSegment() const {
   // By construction one Submit follows each successful queue push, so this
   // Pop always finds the matching (not necessarily the same) segment.
   std::optional<Segment> seg = queue_.Pop();
   if (!seg.has_value()) return;  // closed and drained during shutdown
-
-  if (seg->group != nullptr) {
-    RunGroup(*seg);
-    return;
-  }
 
   BatchState& state = *seg->state;
   // Deadline re-check at dequeue: a segment that sat out its budget in the
@@ -548,98 +465,9 @@ Status RankingService::AdmitSegmented(
   return Status::Ok();
 }
 
-void RankingService::SealAndAdmitGroup(
-    const std::shared_ptr<const Shard>& shard,
-    const std::shared_ptr<CoalesceGroup>& group) const {
-  {
-    std::lock_guard<std::mutex> lock(shard->coalesce_mu);
-    group->sealed = true;
-    const bool shared_ride = group->entries.size() > 1;
-    for (const CoalesceGroup::Entry& entry : group->entries) {
-      entry.state->coalesced = shared_ride;
-    }
-  }
-  group->sealed_cv.notify_all();
-
-  Segment seg;
-  seg.shard = shard;
-  seg.group = group;
-  // Blocking, deadline-free admission: riders already paid their admission
-  // deadline check on entry, and an expired rider is dropped at dequeue.
-  const QueuePushResult pushed = queue_.Push(std::move(seg), group->lane);
-  if (pushed == QueuePushResult::kOk) {
-    const std::int64_t now_ns = NowNs();
-    for (const CoalesceGroup::Entry& entry : group->entries) {
-      entry.state->admitted_ns.store(now_ns, std::memory_order_relaxed);
-      // Every rider gets the gather window on its own timeline: group open
-      // to sealed-and-admitted, the price paid for the shared ride.
-      if (entry.state->trace_id != 0 && group->opened_ns > 0) {
-        obs::EmitSpan(entry.state->trace_id, "serve.coalesce",
-                      group->opened_ns, now_ns);
-      }
-    }
-    segments_.Increment();
-    pool_->Submit([this] { RunOneSegment(); });
-    return;
-  }
-  // kClosed (a blocking push only fails on shutdown): fail every rider.
-  rejected_.Increment();
-  for (const CoalesceGroup::Entry& entry : group->entries) {
-    entry.state->shutdown.store(true, std::memory_order_relaxed);
-    entry.state->Finish();
-  }
-}
-
-Status RankingService::AdmitCoalesced(const std::shared_ptr<const Shard>& shard,
-                                      const Matrix& raw_rows,
-                                      double* scores_out, int lane,
-                                      BatchState& state) const {
-  state.remaining = 1;
-  std::shared_ptr<CoalesceGroup> group;
-  bool leader = false;
-  bool sealer = false;
-  {
-    std::lock_guard<std::mutex> lock(shard->coalesce_mu);
-    if (shard->open_group == nullptr) {
-      group = std::make_shared<CoalesceGroup>();
-      const Clock::time_point opened = Clock::now();
-      group->flush_at = opened + options_.max_coalesce_delay;
-      group->opened_ns = TpNs(opened);
-      group->lane = lane;
-      shard->open_group = group;
-      leader = true;
-    } else {
-      group = shard->open_group;
-      group->lane = std::min(group->lane, lane);
-    }
-    group->entries.push_back({&raw_rows, scores_out, raw_rows.rows(), &state});
-    group->total_rows += raw_rows.rows();
-    if (!leader && group->total_rows >= options_.coalesce_flush_rows) {
-      shard->open_group = nullptr;  // claim: this thread seals the group
-      sealer = true;
-    }
-  }
-  if (leader) {
-    // The leader donates its own latency budget (at most
-    // max_coalesce_delay) waiting for co-riders, then flushes whatever
-    // gathered. A rider that filled the group meanwhile seals it instead;
-    // clearing the shard's open slot under the mutex is the claim, so
-    // exactly one thread admits each group.
-    std::unique_lock<std::mutex> lock(shard->coalesce_mu);
-    group->sealed_cv.wait_until(lock, group->flush_at,
-                                [&] { return group->sealed; });
-    if (!group->sealed && shard->open_group == group) {
-      shard->open_group = nullptr;
-      sealer = true;
-    }
-  }
-  if (sealer) SealAndAdmitGroup(shard, group);
-  return Status::Ok();
-}
-
-Result<RankedBatch> RankingService::QueryImpl(const std::string& dataset_id,
-                                              const Matrix& raw_rows,
-                                              const QueryOptions& options) const {
+Result<RankedBatch> RankingService::Query(const std::string& dataset_id,
+                                          const Matrix& raw_rows,
+                                          const QueryOptions& options) const {
   const Clock::time_point start = Clock::now();
   const bool has_deadline = options.deadline != Clock::time_point::max();
   // Deadline check #1, at admission: an already-expired query never touches
@@ -683,27 +511,11 @@ Result<RankedBatch> RankingService::QueryImpl(const std::string& dataset_id,
   state.has_deadline = has_deadline;
   state.trace_id = trace_id;
 
-  double* scores_out = batch.scores.data().data();
-  // Small blocking queries ride a shared group when coalescing is on;
-  // kReject queries never coalesce (a group is admitted as one blocking
-  // push, which cannot honour per-rider rejection).
-  const bool coalesce = options_.max_coalesce_delay.count() > 0 &&
-                        options.allow_coalesce &&
-                        options.admission == AdmissionPolicy::kBlock &&
-                        n <= options_.coalesce_max_rows;
-  if (coalesce) {
-    batch.trace.segments = 1;
-    RPC_RETURN_IF_ERROR(
-        AdmitCoalesced(shard, raw_rows, scores_out, lane, state));
-  } else {
-    RPC_RETURN_IF_ERROR(AdmitSegmented(shard, raw_rows, scores_out, lane,
-                                       options, state, batch.trace));
-  }
+  RPC_RETURN_IF_ERROR(AdmitSegmented(shard, raw_rows,
+                                     batch.scores.data().data(), lane, options,
+                                     state, batch.trace));
   state.Wait();
 
-  if (state.shutdown.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("RankingService: shutting down");
-  }
   if (state.expired.load(std::memory_order_relaxed)) {
     // Deadline checks #2 (dequeue) and #3 (between rows) funnel here: some
     // worker observed the deadline pass before the result was complete.
@@ -722,7 +534,6 @@ Result<RankedBatch> RankingService::QueryImpl(const std::string& dataset_id,
   admitted = std::clamp(admitted, start, done);
   batch.trace.admission_wait = admitted - start;
   batch.trace.execution_time = done - admitted;
-  batch.trace.coalesced = state.coalesced;
 
   // Caller-side spans reuse the timestamps QueryTrace already measured —
   // no extra clock reads on the serving hot path.
@@ -740,7 +551,6 @@ Result<RankedBatch> RankingService::QueryImpl(const std::string& dataset_id,
 
   queries_.Increment();
   rows_.Add(n);
-  if (state.coalesced) coalesced_queries_.Increment();
   RecordLatency(done - start);
   admission_wait_us_.Record(
       static_cast<double>(batch.trace.admission_wait.count() / 1000));
@@ -765,22 +575,15 @@ void RankingService::EmitSlowQuery(const std::string& dataset_id,
   obs::AppendJsonEscaped(&payload, dataset_id);
   payload += StrFormat(
       "\",\"rows\":%d,\"total_us\":%.3f,\"admission_wait_us\":%.3f,"
-      "\"execution_us\":%.3f,\"segments\":%d,\"coalesced\":%s,"
-      "\"trace_id\":\"%llu\",\"spans\":",
+      "\"execution_us\":%.3f,\"segments\":%d,\"trace_id\":\"%llu\","
+      "\"spans\":",
       rows, static_cast<double>(total.count()) / 1e3,
       static_cast<double>(trace.admission_wait.count()) / 1e3,
       static_cast<double>(trace.execution_time.count()) / 1e3, trace.segments,
-      trace.coalesced ? "true" : "false",
       static_cast<unsigned long long>(trace.trace_id));
   payload += obs::SpansToJson(obs::CollectTrace(trace.trace_id));
   payload += '}';
   options_.telemetry_sink->Emit("slow_query", payload);
-}
-
-Result<RankedBatch> RankingService::Query(const std::string& dataset_id,
-                                          const Matrix& raw_rows,
-                                          const QueryOptions& options) const {
-  return QueryImpl(dataset_id, raw_rows, options);
 }
 
 ServiceStats RankingService::stats() const {
@@ -794,7 +597,6 @@ ServiceStats RankingService::stats() const {
   stats.registrations = registrations_.Value();
   stats.deadline_expired = deadline_expired_.Value();
   stats.expired_segments = expired_segments_.Value();
-  stats.coalesced_queries = coalesced_queries_.Value();
   for (int p = 0; p < kNumPriorities; ++p) {
     stats.shed_by_priority[static_cast<size_t>(p)] =
         shed_by_priority_[static_cast<size_t>(p)].Value();

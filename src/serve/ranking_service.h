@@ -65,10 +65,6 @@ struct QueryOptions {
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   /// Priority class; unset = the dataset's default (DatasetOptions).
   std::optional<QueryPriority> priority;
-  /// Opt this query out of micro-batch coalescing even when the service
-  /// enables it (Options::max_coalesce_delay). Queries admitted with
-  /// kReject never coalesce regardless.
-  bool allow_coalesce = true;
   /// Trace-context propagation: 0 (the default) allocates a fresh trace id
   /// per query while obs tracing is runtime-enabled; a nonzero id threads
   /// an external trace through this query (and forces span emission even
@@ -99,17 +95,12 @@ struct SheddingPolicy {
 /// Observability for one answered query, filled by Query on success.
 struct QueryTrace {
   /// Time from entering Query until the last segment was admitted to the
-  /// execution queue (for coalesced queries: until the group was sealed
-  /// and admitted — measured best-effort, may read as zero on the rare
-  /// race where execution finishes before the sealer's clock store lands).
+  /// execution queue.
   std::chrono::nanoseconds admission_wait{0};
   /// Remaining time until the result was complete (execution + ranking).
   std::chrono::nanoseconds execution_time{0};
-  /// Execution segments this query was split into (1 for a coalesced one).
+  /// Execution segments this query was split into.
   int segments = 0;
-  /// True when the query was executed inside a shared coalesced group with
-  /// at least one other query.
-  bool coalesced = false;
   /// The obs trace id this query's spans were emitted under (0 = untraced).
   obs::TraceId trace_id = 0;
 };
@@ -139,7 +130,6 @@ struct LatencyHistogram {
   static constexpr int kNumBuckets = obs::kLatencyBuckets;
   std::array<std::int64_t, kNumBuckets> buckets{};
 
-  static int BucketFor(std::chrono::nanoseconds latency);
   std::int64_t total() const;
   /// Upper bucket edge (in us) of the bucket containing quantile q in
   /// [0, 1]; 0 when the histogram is empty.
@@ -156,7 +146,9 @@ struct ServiceStats {
   std::int64_t deadline_expired = 0;   // queries failed with kDeadlineExceeded
   std::int64_t expired_segments = 0;   // segments skipped/abandoned once their
                                        // query's deadline had passed
-  std::int64_t coalesced_queries = 0;  // queries served inside a shared group
+  // Always 0: no query shares a segment with another. Kept because
+  // perfbench's serve_mixed and stream_live still read it.
+  std::int64_t coalesced_queries = 0;
   /// Admissions refused per priority class (indexed by QueryPriority).
   std::array<std::int64_t, kNumPriorities> shed_by_priority{};
   /// Total latency distribution of successfully answered queries.
@@ -192,14 +184,6 @@ struct ServiceStats {
 ///     per-class occupancy watermarks (Options::shedding) so low-priority
 ///     load is dropped first under saturation.
 ///
-/// Small queries (<= Options::coalesce_max_rows rows) on the same shard
-/// are additionally coalesced into one execution group under a latency
-/// budget (Options::max_coalesce_delay): the group pays one workspace
-/// checkout and one segment dispatch instead of one each, which is what
-/// makes single-row traffic cheap at scale. Coalescing never changes the
-/// arithmetic — each row runs the identical normalise + project kernel, so
-/// scores stay bit-identical to RpcRanker.
-///
 /// Execution: admitted segments run on the shared common::ThreadPool. Each
 /// segment checks a workspace out of its shard's free list, scores its rows
 /// — normalise, project, done, with no heap allocation per row — and
@@ -232,14 +216,6 @@ class RankingService {
     int segment_rows = 1024;
     /// Per-priority admission watermarks; see SheddingPolicy.
     SheddingPolicy shedding;
-    /// Longest a small query may wait for co-riders before its coalesced
-    /// group executes anyway. 0 (the default) disables coalescing, which
-    /// keeps the legacy single-query latency profile.
-    std::chrono::microseconds max_coalesce_delay{0};
-    /// Queries with at most this many rows are eligible for coalescing.
-    int coalesce_max_rows = 4;
-    /// A pending group is sealed early once it has gathered this many rows.
-    int coalesce_flush_rows = 64;
     /// Projection solver for the serving hot path. Must match the options
     /// the model was fit/validated with for scores to be bit-identical to
     /// the in-process RpcRanker.
@@ -311,11 +287,9 @@ class RankingService {
  private:
   struct Shard;
   struct BatchState;
-  struct CoalesceGroup;
 
-  /// One admitted unit of work, pinned to its shard snapshot: either a
-  /// contiguous row range of one query, or a sealed coalesced group of
-  /// several small queries. Value type so the admission queue owns its
+  /// One admitted unit of work, pinned to its shard snapshot: a contiguous
+  /// row range of one query. Value type so the admission queue owns its
   /// items outright (std::deque requires a complete type).
   struct Segment {
     std::shared_ptr<const Shard> shard;
@@ -324,36 +298,21 @@ class RankingService {
     int begin = 0;
     int end = 0;
     BatchState* state = nullptr;  // caller-stack completion latch
-    std::shared_ptr<CoalesceGroup> group;  // set for coalesced segments
   };
 
   std::shared_ptr<const Shard> FindShard(const std::string& dataset_id) const;
   Result<std::shared_ptr<const Shard>> BuildShard(
       const core::PortableRpcModel& model,
       const DatasetOptions& dataset) const;
-  Result<RankedBatch> QueryImpl(const std::string& dataset_id,
-                                const linalg::Matrix& raw_rows,
-                                const QueryOptions& options) const;
-  /// The segmented (non-coalesced) admission path: split into row ranges,
-  /// admit each, wait for completion.
+  /// Splits the query into row ranges and admits each as one segment.
   Status AdmitSegmented(const std::shared_ptr<const Shard>& shard,
                         const linalg::Matrix& raw_rows, double* scores_out,
                         int lane, const QueryOptions& options,
                         BatchState& state, QueryTrace& trace) const;
-  /// The coalescing path for small queries: join (or open) the shard's
-  /// pending group and make sure exactly one participant seals + admits it.
-  Status AdmitCoalesced(const std::shared_ptr<const Shard>& shard,
-                        const linalg::Matrix& raw_rows, double* scores_out,
-                        int lane, BatchState& state) const;
-  /// Seals `group` (caller must have removed it from the shard's open slot
-  /// under the coalesce mutex) and admits it as one segment.
-  void SealAndAdmitGroup(const std::shared_ptr<const Shard>& shard,
-                         const std::shared_ptr<CoalesceGroup>& group) const;
   /// Pops one admitted segment and executes it: deadline re-check,
   /// workspace checkout, normalise + project each row (with cooperative
   /// cancellation between rows), workspace return, completion countdown.
   void RunOneSegment() const;
-  void RunGroup(const Segment& seg) const;
   /// Scores rows [begin, end) of `rows` into scores_out using `slot`,
   /// checking the query's cancellation flag between rows; returns false if
   /// the deadline expired mid-way (the segment is then abandoned).
@@ -384,7 +343,6 @@ class RankingService {
   obs::Counter registrations_;
   obs::Counter deadline_expired_;
   obs::Counter expired_segments_;
-  obs::Counter coalesced_queries_;
   std::array<obs::Counter, kNumPriorities> shed_by_priority_;
   obs::Histogram latency_us_;
   obs::Histogram admission_wait_us_;

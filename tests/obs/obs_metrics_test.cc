@@ -1,10 +1,13 @@
 #include "obs/metrics.h"
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obs/buckets.h"
 
 namespace rpc::obs {
 namespace {
@@ -148,6 +151,19 @@ TEST(RegistryTest, HistogramSnapshotInSamples) {
     EXPECT_EQ(sample.histogram.count, 3);
     EXPECT_EQ(sample.histogram.sum, 105.5);
   }
+}
+
+// Bucket i holds [2^i, 2^(i+1)) us; sub-microsecond values share bucket 0
+// and everything past 2^19 us lands in the open-ended last bucket.
+TEST(LatencyBucketsTest, BucketsArePowersOfTwoMicroseconds) {
+  EXPECT_EQ(LatencyBucketForUs(0), 0);
+  EXPECT_EQ(LatencyBucketForUs(1), 0);
+  EXPECT_EQ(LatencyBucketForUs(2), 1);
+  EXPECT_EQ(LatencyBucketForUs(3), 1);
+  EXPECT_EQ(LatencyBucketForUs(4), 2);
+  EXPECT_EQ(LatencyBucketForUs(1000), 9);
+  EXPECT_EQ(LatencyBucketForUs(std::int64_t{100'000'000}),
+            kLatencyBuckets - 1);
 }
 
 TEST(RegistryTest, GlobalIsOneInstance) {

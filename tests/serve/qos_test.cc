@@ -1,7 +1,6 @@
 // QoS behaviour of the unified Query entry point: deadline enforcement in
 // every phase (admission, queued, mid-execution), priority-class shedding
-// under saturation, micro-batch coalescing bit-identity, and the two
-// admission policies.
+// under saturation, and the two admission policies.
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -260,77 +259,6 @@ TEST(QosTest, BackgroundShedsWhileInteractiveSucceedsUnderSaturation) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalescing: two small queries arriving within the delay window share one
-// execution segment, and riding a group never changes a single score bit.
-
-TEST(QosTest, CoalescedQueriesAreBitIdenticalAndShareOneSegment) {
-  RankingService::Options options;
-  options.num_threads = 2;
-  options.max_coalesce_delay = std::chrono::milliseconds(250);
-  options.coalesce_max_rows = 4;
-  options.coalesce_flush_rows = 2;  // the second rider seals the group
-  RankingService service(options);
-  ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(3, 26)).ok());
-
-  const Matrix row_a = RandomRows(1, 3, 27);
-  const Matrix row_b = RandomRows(1, 3, 28);
-
-  // References through the same service with coalescing opted out.
-  QueryOptions solo;
-  solo.allow_coalesce = false;
-  const auto ref_a = service.Query("d", row_a, solo);
-  const auto ref_b = service.Query("d", row_b, solo);
-  ASSERT_TRUE(ref_a.ok());
-  ASSERT_TRUE(ref_b.ok());
-  const std::int64_t segments_before = service.stats().segments;
-
-  // Leader opens the group; the joiner fills it to coalesce_flush_rows and
-  // seals. (If the thread starts late the roles swap — same outcome.)
-  Result<RankedBatch> got_a = Status::Internal("unset");
-  std::thread leader([&] { got_a = service.Query("d", row_a); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const auto got_b = service.Query("d", row_b);
-  leader.join();
-
-  ASSERT_TRUE(got_a.ok());
-  ASSERT_TRUE(got_b.ok());
-  EXPECT_EQ(got_a->scores[0], ref_a->scores[0]);  // bit-identity
-  EXPECT_EQ(got_b->scores[0], ref_b->scores[0]);
-  EXPECT_TRUE(got_a->trace.coalesced);
-  EXPECT_TRUE(got_b->trace.coalesced);
-  EXPECT_EQ(got_a->trace.segments, 1);
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.coalesced_queries, 2);
-  // The pair cost exactly one more execution segment, not two.
-  EXPECT_EQ(stats.segments - segments_before, 1);
-}
-
-TEST(QosTest, SoloLeaderFlushesAtTheDelayBoundary) {
-  RankingService::Options options;
-  options.num_threads = 2;
-  options.max_coalesce_delay = std::chrono::milliseconds(5);
-  options.coalesce_max_rows = 4;
-  RankingService service(options);
-  ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(2, 29)).ok());
-
-  const Matrix row = RandomRows(1, 2, 30);
-  QueryOptions solo;
-  solo.allow_coalesce = false;
-  const auto ref = service.Query("d", row, solo);
-  ASSERT_TRUE(ref.ok());
-
-  const auto got = service.Query("d", row);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->scores[0], ref->scores[0]);
-  // Nobody joined: the group executed solo after donating the delay...
-  EXPECT_FALSE(got->trace.coalesced);
-  EXPECT_EQ(service.stats().coalesced_queries, 0);
-  // ...which shows up as admission wait, not execution time.
-  EXPECT_GE(got->trace.admission_wait, std::chrono::milliseconds(4));
-}
-
-// ---------------------------------------------------------------------------
 // Observability: peak_queue_depth, QueryTrace and the latency histogram.
 
 TEST(QosTest, PeakQueueDepthTracksAdmissionHighWaterMark) {
@@ -360,7 +288,6 @@ TEST(QosTest, TraceAndLatencyHistogramArePopulated) {
   EXPECT_EQ(batch->trace.segments, 4);  // ceil(100 / 32)
   EXPECT_GE(batch->trace.admission_wait.count(), 0);
   EXPECT_GT(batch->trace.execution_time.count(), 0);
-  EXPECT_FALSE(batch->trace.coalesced);
 
   ASSERT_TRUE(service.Query("d", RandomRows(3, 3, 35)).ok());
   const ServiceStats stats = service.stats();
@@ -371,16 +298,6 @@ TEST(QosTest, TraceAndLatencyHistogramArePopulated) {
 }
 
 TEST(QosTest, LatencyHistogramBucketsArePowersOfTwoMicroseconds) {
-  using std::chrono::microseconds;
-  EXPECT_EQ(LatencyHistogram::BucketFor(std::chrono::nanoseconds(100)), 0);
-  EXPECT_EQ(LatencyHistogram::BucketFor(microseconds(1)), 0);
-  EXPECT_EQ(LatencyHistogram::BucketFor(microseconds(2)), 1);
-  EXPECT_EQ(LatencyHistogram::BucketFor(microseconds(3)), 1);
-  EXPECT_EQ(LatencyHistogram::BucketFor(microseconds(4)), 2);
-  EXPECT_EQ(LatencyHistogram::BucketFor(microseconds(1000)), 9);
-  EXPECT_EQ(LatencyHistogram::BucketFor(std::chrono::seconds(100)),
-            LatencyHistogram::kNumBuckets - 1);
-
   LatencyHistogram h;
   EXPECT_EQ(h.total(), 0);
   EXPECT_EQ(h.QuantileUpperBoundUs(0.5), 0.0);

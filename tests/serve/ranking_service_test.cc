@@ -310,6 +310,40 @@ TEST(RankingServiceTest, ConcurrentQueriesAcrossManyShards) {
   EXPECT_EQ(stats.rows, 4 * 25 * 40);
   EXPECT_GE(stats.segments, stats.queries);
   EXPECT_GE(stats.peak_queue_depth, 1);
+
+  // Single-row traffic from the same four callers: every point query is
+  // one segment on the one admission path, bit-identical to the model.
+  constexpr int kPointQueries = 40;
+  std::vector<std::vector<Matrix>> points(kShards);
+  for (int s = 0; s < kShards; ++s) {
+    for (int i = 0; i < queries[s].rows(); ++i) {
+      Matrix one(1, queries[s].cols());
+      one.SetRow(0, queries[s].Row(i));
+      points[s].push_back(std::move(one));
+    }
+  }
+  callers.clear();
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&, c] {
+      for (int q = 0; q < kPointQueries; ++q) {
+        const int s = (c + q) % kShards;
+        const int i = (c * kPointQueries + q) % queries[s].rows();
+        const auto batch = service.Query("ds" + std::to_string(s),
+                                         points[s][static_cast<size_t>(i)]);
+        if (!batch.ok() || batch->trace.segments != 1 ||
+            batch->scores[0] != expected[s][i]) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.queries - stats.queries, 4 * kPointQueries);
+  EXPECT_EQ(after.rows - stats.rows, 4 * kPointQueries);
+  EXPECT_EQ(after.segments - stats.segments, 4 * kPointQueries);
+  EXPECT_EQ(after.coalesced_queries, 0);
 }
 
 TEST(RankingServiceTest, RejectAdmissionShedsWhenBacklogged) {

@@ -112,38 +112,6 @@ TEST(TelemetryServeTest, SingleQueryProducesSpanTimeline) {
 #endif
 }
 
-TEST(TelemetryServeTest, CoalescedQueryRecordsGatherWindow) {
-#ifdef RPC_OBS_DISABLED
-  GTEST_SKIP() << "span assertions need an obs-enabled build";
-#else
-  RankingService::Options options;
-  options.num_threads = 2;
-  options.max_coalesce_delay = std::chrono::milliseconds(2);
-  options.coalesce_max_rows = 4;
-  RankingService service(options);
-  ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(2, 3)).ok());
-
-  const obs::TraceId trace = 0x7e1e5ca1ab1e0002ull;
-  QueryOptions qopts;
-  qopts.trace_id = trace;
-  // A lone leader: it opens a group, waits out the gather window, and
-  // flushes alone — trace.coalesced stays false (no shared ride) but the
-  // gather window it paid for is still on its timeline.
-  const auto batch = service.Query("d", RandomRows(1, 2, 4), qopts);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_FALSE(batch->trace.coalesced);
-
-  const std::vector<obs::SpanRecord> spans = obs::CollectTrace(trace);
-  const obs::SpanRecord* coalesce = FindSpan(spans, "serve.coalesce");
-  ASSERT_NE(coalesce, nullptr);
-  EXPECT_GE(coalesce->end_ns, coalesce->start_ns);
-  // The gather window sits inside the query envelope.
-  const obs::SpanRecord* query = FindSpan(spans, "serve.query");
-  ASSERT_NE(query, nullptr);
-  EXPECT_GE(coalesce->start_ns, query->start_ns);
-#endif
-}
-
 TEST(TelemetryServeTest, SlowQueryLogEmitsThroughTheSink) {
   obs::VectorSink sink;
   RankingService::Options options;
