@@ -178,8 +178,7 @@ double MeasureRowsPerSec(int n, double min_seconds,
 
 // `extra` is appended verbatim (",\"key\":value" pairs) — the per-variant
 // fields: the SIMD backend that ran the row (informational, ignored by the
-// gate's row matching so baselines stay machine-portable), the curve count
-// of the batch-of-curves rows, speedup_vs_separate.
+// gate's row matching so baselines stay machine-portable).
 void EmitJson(std::FILE* sink, const std::string& variant, int n, int d,
               int threads, double rows_per_sec, double speedup,
               const std::string& extra = std::string()) {
@@ -415,50 +414,6 @@ int main(int argc, char** argv) {
       });
       EmitJson(sink, "engine_parallel", n, d, hw_threads, engineN_rps,
                engineN_rps / seed_rps, backend_extra);
-
-      // Batch-of-curves rows, once per d at the largest n: M model
-      // candidates scored over one dataset (the model-selection / A-B
-      // serving shape). rows_per_sec counts row-projections (n * curves
-      // per pass); "separate" runs the single-curve batch per curve,
-      // "batch" packs each SoA tile once and scores all curves from it.
-      if (n == ns.back()) {
-        constexpr int kCurves = 4;
-        std::vector<BezierCurve> owned;
-        owned.reserve(kCurves);
-        for (int c = 0; c < kCurves; ++c) {
-          owned.push_back(RandomMonotoneCubic(d, 3000 + 16 * d + c));
-        }
-        std::vector<const BezierCurve*> curves;
-        for (const BezierCurve& c : owned) curves.push_back(&c);
-        const std::string curves_extra = ",\"curves\":" +
-                                         std::to_string(kCurves);
-
-        const double separate_rps =
-            MeasureRowsPerSec(n * kCurves, min_seconds, [&] {
-              for (const BezierCurve* c : curves) {
-                double total = 0.0;
-                const Vector scores = rpc::opt::ProjectRowsBatch(
-                    *c, data, options, nullptr, &total);
-                (void)scores;
-              }
-            });
-        EmitJson(sink, "multi_curve_separate", n, d, 1, separate_rps,
-                 separate_rps / seed_rps, curves_extra + backend_extra);
-
-        const double batch_rps =
-            MeasureRowsPerSec(n * kCurves, min_seconds, [&] {
-              std::vector<double> totals;
-              const std::vector<Vector> scores =
-                  rpc::opt::ProjectRowsBatchMultiCurve(curves, data, options,
-                                                       nullptr, &totals);
-              (void)scores;
-            });
-        EmitJson(sink, "multi_curve_batch", n, d, 1, batch_rps,
-                 batch_rps / seed_rps,
-                 curves_extra + ",\"speedup_vs_separate\":" +
-                     std::to_string(batch_rps / separate_rps) +
-                     backend_extra);
-      }
     }
   }
   if (sink != nullptr) std::fclose(sink);

@@ -1,9 +1,9 @@
 // Streaming tier throughput and refresh latency: steady-state ingest
 // rows/s through stream::StreamingRanker's bounded queue, p50/p99 warm
 // refresh latency under the row-delta drift policy, and the headline
-// comparison — a warm refresh (seeded control points + per-row s* via
-// opt::IncrementalProjector) against a cold single-restart fit on the same
-// rows, which must be >= 3x faster at n=100k, d=4.
+// comparison — a warm refresh (a Refit seeded with the live control
+// points) against a cold single-restart fit on the same rows, which must
+// be >= 3x faster at n=100k, d=4.
 //
 // Before any timing, the online path's bit-identity contract is verified:
 // after a sequence of appends and refreshes, scores served through
@@ -32,7 +32,6 @@
 #include "data/normalizer.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
-#include "opt/curve_projection.h"
 #include "order/orientation.h"
 #include "serve/ranking_service.h"
 #include "stream/streaming_ranker.h"
@@ -66,8 +65,8 @@ Matrix RawData(const Orientation& alpha, int n, uint64_t seed) {
 RpcLearnOptions BenchLearner() {
   // Default learner options (kFull reprojection, single restart): exactly
   // the cold fit StreamingRanker::Start runs for a user who configured
-  // nothing, and therefore the honest baseline for the warm refresh (which
-  // derives its own warm-started adaptive configuration from this).
+  // nothing, and therefore the honest baseline for the refresh (which runs
+  // this configuration seeded with the live control points).
   RpcLearnOptions options;
   options.restarts = 1;
   options.seed = 2026;
@@ -266,27 +265,15 @@ int main(int argc, char** argv) {
       cold = std::move(median.second);
     }
 
-    // Warm refresh: the streaming path — live control points plus per-row
-    // s* (the fresh rows seeded by one projection onto the live curve,
-    // exactly what StreamingRanker does on append), warm options as the
-    // StreamingRanker derives them.
+    // Warm refresh: the streaming path — the live control points as the
+    // seed, refresh options as the StreamingRanker derives them.
     StreamingRankerOptions stream_options;
     stream_options.learner = BenchLearner();
     StreamingRanker shape_only(nullptr, "bench", stream_options);
     const rpc::core::RpcLearner warm_learner(shape_only.warm_options());
-    rpc::core::RpcWarmStartState seed;
-    seed.control_points = live->curve.control_points();
-    seed.scores = Vector(n);
-    for (int i = 0; i < n0; ++i) seed.scores[i] = live->scores[i];
-    {
-      rpc::opt::ProjectionWorkspace workspace;
-      workspace.Bind(live->curve.bezier(), BenchLearner().projection);
-      for (int i = n0; i < n; ++i) {
-        seed.scores[i] = workspace.Project(normalized.RowPtr(i)).s;
-      }
-    }
     const auto warm_start_time = std::chrono::steady_clock::now();
-    const auto warm = warm_learner.Refit(normalized, alpha, seed);
+    const auto warm = warm_learner.Refit(normalized, alpha,
+                                         live->curve.control_points());
     const double warm_seconds = Seconds(warm_start_time);
     if (!warm.ok()) return 1;
     const double speedup = cold_seconds / warm_seconds;

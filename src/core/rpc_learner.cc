@@ -75,7 +75,7 @@ Result<RpcFitResult> RpcLearner::Fit(const Matrix& normalized_data,
   if (options_.restarts == 1) {
     FitWorkspace workspace;
     return FitOnce(normalized_data, alpha, options_.seed, &pool, &workspace,
-                   /*warm_seed=*/nullptr);
+                   /*seed_control_points=*/nullptr);
   }
   // Multi-restart: independent seeds, keep the lowest J (Theorem 3's
   // minimiser is approached from several basins). With a thread budget the
@@ -102,7 +102,7 @@ Result<RpcFitResult> RpcLearner::Fit(const Matrix& normalized_data,
                         options_.seed + 7919ULL * static_cast<uint64_t>(r),
                         /*pool=*/nullptr,
                         &workspaces[static_cast<size_t>(worker)],
-                        /*warm_seed=*/nullptr);
+                        /*seed_control_points=*/nullptr);
           }
         });
   } else {
@@ -110,7 +110,7 @@ Result<RpcFitResult> RpcLearner::Fit(const Matrix& normalized_data,
     for (int r = 0; r < options_.restarts; ++r) {
       fits[static_cast<size_t>(r)] =
           FitOnce(normalized_data, alpha, options_.seed + 7919ULL * r, &pool,
-                  &workspace, /*warm_seed=*/nullptr);
+                  &workspace, /*seed_control_points=*/nullptr);
     }
   }
   // Whole-call stage timing: summed over every restart that ran, collected
@@ -140,33 +140,27 @@ Result<RpcFitResult> RpcLearner::Fit(const Matrix& normalized_data,
   return best;
 }
 
-Result<RpcFitResult> RpcLearner::Refit(const Matrix& normalized_data,
-                                       const order::Orientation& alpha,
-                                       const RpcWarmStartState& seed) const {
-  if (seed.control_points.rows() != normalized_data.cols() ||
-      seed.control_points.cols() != options_.degree + 1) {
+Result<RpcFitResult> RpcLearner::Refit(
+    const Matrix& normalized_data, const order::Orientation& alpha,
+    const Matrix& seed_control_points) const {
+  if (seed_control_points.rows() != normalized_data.cols() ||
+      seed_control_points.cols() != options_.degree + 1) {
     return Status::InvalidArgument(StrFormat(
         "RpcLearner::Refit: seed control points are %d x %d, need %d x %d",
-        seed.control_points.rows(), seed.control_points.cols(),
+        seed_control_points.rows(), seed_control_points.cols(),
         normalized_data.cols(), options_.degree + 1));
-  }
-  if (seed.scores.size() != 0 &&
-      seed.scores.size() != normalized_data.rows()) {
-    return Status::InvalidArgument(StrFormat(
-        "RpcLearner::Refit: %d seed scores for %d rows", seed.scores.size(),
-        normalized_data.rows()));
   }
   ThreadPool pool(options_.num_threads);
   FitWorkspace workspace;
   return FitOnce(normalized_data, alpha, options_.seed, &pool, &workspace,
-                 &seed);
+                 &seed_control_points);
 }
 
 Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
                                          const order::Orientation& alpha,
                                          uint64_t seed, ThreadPool* pool,
                                          FitWorkspace* workspace,
-                                         const RpcWarmStartState* warm_seed)
+                                         const Matrix* seed_control_points)
     const {
   const int n = normalized_data.rows();
   const int d = normalized_data.cols();
@@ -212,20 +206,20 @@ Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
   control.SetColumn(0, worst);
   control.SetColumn(k, best);
   const double margin = std::max(options_.clamp_margin, 1e-9);
-  if (warm_seed != nullptr) {
-    // Warm refit: the previous model's control points replace the Step 2
+  if (seed_control_points != nullptr) {
+    // Seeded refit: the previous model's control points replace the Step 2
     // initialisation. Interior points are re-clamped into the open cube
     // (a normalisation-bound remap can push them onto the margin) and the
     // end points re-pinned/clamped per the usual Proposition 1 handling.
     for (int r = 1; r < k; ++r) {
       for (int j = 0; j < d; ++j) {
-        control(j, r) = Clamp01(warm_seed->control_points(j, r), margin);
+        control(j, r) = Clamp01((*seed_control_points)(j, r), margin);
       }
     }
     if (!options_.fix_end_points) {
       for (int j = 0; j < d; ++j) {
-        control(j, 0) = std::clamp(warm_seed->control_points(j, 0), 0.0, 1.0);
-        control(j, k) = std::clamp(warm_seed->control_points(j, k), 0.0, 1.0);
+        control(j, 0) = std::clamp((*seed_control_points)(j, 0), 0.0, 1.0);
+        control(j, k) = std::clamp((*seed_control_points)(j, k), 0.0, 1.0);
       }
     }
   } else {
@@ -298,7 +292,7 @@ Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
   double update_seconds = 0.0;
 
   // Step 4 engine, one for both modes: kWarmStart keeps per-row state
-  // (last s*, last squared distance, last drift) across outer iterations
+  // (last s*, last squared distance) across outer iterations
   // and only falls back to the full global search for suspect rows and
   // periodic resyncs; kFull resyncs on every pass, i.e. re-projects every
   // row from scratch. Each projected row streams straight into the fit
@@ -310,19 +304,10 @@ Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
   incremental_options.resync_period =
       options_.reprojection == ReprojectionMode::kFull ? 1
                                                        : kWarmResyncPeriod;
-  incremental_options.adaptive_brackets =
-      options_.reprojection_adaptive_brackets;
   opt::IncrementalProjector incremental;
   incremental.Bind(normalized_data, incremental_options, pool);
   incremental.SetFusedAccumulators(workspace->fused_segments(),
                                    kFitSegmentRows);
-  if (warm_seed != nullptr && warm_seed->scores.size() == n) {
-    // Per-row warm seed: the first in-loop projection refines each row
-    // locally around the live model's s* instead of running the cold full
-    // search — the heart of the streaming tier's cheap refresh. (Inert
-    // under kFull, whose every pass is a full one.)
-    incremental.ImportState(warm_seed->scores, control);
-  }
 
   // Are the scores in hand the full global search's projections of the
   // current bezier? True after a full pass (every kFull pass, a kWarmStart

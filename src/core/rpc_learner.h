@@ -40,10 +40,12 @@ enum class ReprojectionMode {
   /// fit quality is measured exactly like kFull. Mid-trajectory J values
   /// are warm-measured upper bounds on the full-search J (within the
   /// certified-fallback slack), so convergence/rollback decisions can
-  /// differ from kFull's by that slack. Multi-x faster on large n for the
-  /// refining methods (kGridOnly has nothing to localise and runs full
-  /// passes); final J matches kFull within `tolerance` on the paper's
-  /// fixtures.
+  /// differ from kFull's by that slack. A warm pass costs ~0.55 (d=4) to
+  /// ~0.7 (d=8) of a full pass, so the mode pays only on long trajectories
+  /// (1.53x on 125-iteration Golden Section fits); a fit of three or four
+  /// passes, or a seeded Refit that converges in one or two, gains nothing.
+  /// kGridOnly has nothing to localise and runs full passes. Final J
+  /// matches kFull within `tolerance` on the paper's fixtures.
   kWarmStart,
 };
 
@@ -73,17 +75,8 @@ struct RpcLearnOptions {
   /// iteration; kWarmStart reuses each row's previous s* and resyncs every
   /// 8th iteration (see ReprojectionMode). Default kFull — warm-start
   /// results are equivalent but not bit-identical mid-trajectory, so opt in
-  /// where fit time matters.
+  /// where long fits dominate.
   ReprojectionMode reprojection = ReprojectionMode::kFull;
-  /// Adaptive warm-start brackets (kWarmStart only): shrink each row's
-  /// bracket from its observed per-iteration s* drift and skip the bracket
-  /// probe entirely for rows whose drift is below tolerance (see
-  /// opt::IncrementalProjectorOptions::adaptive_brackets). The same
-  /// fallback safety net and final full verification apply, so the
-  /// reported fit quality is measured exactly as without it; the
-  /// trajectory is equivalent but not bit-identical to the fixed-width
-  /// bracket. The streaming tier's warm refresh enables this.
-  bool reprojection_adaptive_brackets = false;
   /// Keep p0/p3 pinned to the alpha corners (Proposition 1 — guarantees the
   /// meta-rules). When false, end points are learned too and merely clamped
   /// into [0,1]^d, the freer behaviour Table 2's printed end points suggest.
@@ -125,6 +118,8 @@ struct RpcLearnOptions {
   /// spans (fit.projection / fit.update / fit.convergence per outer
   /// iteration) under this trace. Never touches the fit arithmetic.
   obs::TraceId trace_id = 0;
+
+  bool operator==(const RpcLearnOptions&) const = default;
 };
 
 /// Output of Algorithm 1.
@@ -152,22 +147,6 @@ struct RpcFitResult {
   double update_seconds = 0.0;
 };
 
-/// Warm-start seed for RpcLearner::Refit: the previous (live) model's
-/// control points and, optionally, its per-row projection indices.
-struct RpcWarmStartState {
-  /// d x (k+1), columns p0..pk, in the normalised space of the data the
-  /// refit will run on. A model fit under different normalisation bounds
-  /// must be remapped first (Eq. 16: affine maps move control points, not
-  /// scores) — see stream::RemapControlPoints.
-  linalg::Matrix control_points;
-  /// Per-row s* aligned with the refit's rows (empty = seed the control
-  /// points only). Under ReprojectionMode::kWarmStart these are imported
-  /// into the incremental projector (opt::IncrementalProjector::
-  /// ImportState), so the very first outer iteration runs warm local
-  /// refinements instead of the cold full search.
-  linalg::Vector scores;
-};
-
 /// Learns a ranking principal curve from observations already normalised
 /// into [0,1]^d (Algorithm 1). Use RpcRanker for the end-to-end pipeline on
 /// raw data.
@@ -180,18 +159,21 @@ class RpcLearner {
   Result<RpcFitResult> Fit(const linalg::Matrix& normalized_data,
                            const order::Orientation& alpha) const;
 
-  /// Warm refit: one fit trajectory (no restarts — the seed pins the
-  /// basin) seeded from `seed` instead of the Step 2 initialisation. With
-  /// kWarmStart reprojection and per-row seed scores, a refresh whose data
-  /// barely moved converges in a few warm outer iterations instead of a
-  /// cold multi-restart fit — the streaming tier's model-refresh
-  /// primitive. The returned scores and J come from the same final full
-  /// projection as Fit, so refit quality is measured identically.
-  /// Deterministic: same data + same seed state => bit-identical result,
-  /// for every thread count.
+  /// Seeded refit: one fit trajectory (no restarts — the seed pins the
+  /// basin) whose Step 2 initialisation is `seed_control_points` instead of
+  /// sampled rows. The model is its control points: Step 4 re-derives every
+  /// s* from them, so a refresh whose data barely moved converges in one or
+  /// two outer iterations instead of a cold multi-restart fit — the
+  /// streaming tier's model-refresh primitive. `seed_control_points` is
+  /// d x (k+1), columns p0..pk, in the normalised space of
+  /// `normalized_data`; a model fit under different normalisation bounds
+  /// must be remapped first (Eq. 16: affine maps move control points, not
+  /// scores — see stream::RemapControlPoints). The returned scores and J
+  /// come from a full projection, exactly as in Fit. Deterministic: same
+  /// data + same seed => bit-identical result, for every thread count.
   Result<RpcFitResult> Refit(const linalg::Matrix& normalized_data,
                              const order::Orientation& alpha,
-                             const RpcWarmStartState& seed) const;
+                             const linalg::Matrix& seed_control_points) const;
 
   const RpcLearnOptions& options() const { return options_; }
 
@@ -201,12 +183,13 @@ class RpcLearner {
   /// run concurrently each gets a null pool instead, so the two levels of
   /// parallelism never nest. `workspace` holds the Step 5 scratch and
   /// persists across outer iterations and restarts (serial restarts share
-  /// one; concurrent restarts use one per worker). `warm_seed` (nullable)
-  /// replaces the Step 2 initialisation with a previous model's state.
+  /// one; concurrent restarts use one per worker). `seed_control_points`
+  /// (nullable) replaces the Step 2 initialisation with a previous model's
+  /// control points.
   Result<RpcFitResult> FitOnce(const linalg::Matrix& normalized_data,
                                const order::Orientation& alpha, uint64_t seed,
                                ThreadPool* pool, FitWorkspace* workspace,
-                               const RpcWarmStartState* warm_seed) const;
+                               const linalg::Matrix* seed_control_points) const;
 
   RpcLearnOptions options_;
 };

@@ -1,8 +1,6 @@
 #ifndef RPC_OPT_BATCH_PROJECTION_H_
 #define RPC_OPT_BATCH_PROJECTION_H_
 
-#include <vector>
-
 #include "common/thread_pool.h"
 #include "curve/bezier.h"
 #include "linalg/matrix.h"
@@ -30,22 +28,6 @@ linalg::Vector ProjectRowsBatch(const curve::BezierCurve& curve,
                                 const ProjectionOptions& options,
                                 ThreadPool* pool,
                                 double* total_squared_distance = nullptr);
-
-/// Batch-of-curves evaluation: projects every row of `data` onto each of
-/// the M `curves` in one sweep. Each RowBlock of rows is transposed into
-/// the SoA tile once and scored against all M bound workspaces while the
-/// tile is hot (ProjectionWorkspace::ProjectPackedBlock), so comparing
-/// model candidates — or serving several model versions over one feature
-/// batch — pays the pack and the row traffic once instead of M times.
-/// Element m of the result is bit-identical to
-/// ProjectRowsBatch(*curves[m], data, ...) with the same options (and
-/// thus to the per-row serial path), as is totals' element m when
-/// `total_squared_distances` is non-null (resized to M, row-ordered
-/// reductions). All curves must share data.cols() as their dimension.
-std::vector<linalg::Vector> ProjectRowsBatchMultiCurve(
-    const std::vector<const curve::BezierCurve*>& curves,
-    const linalg::Matrix& data, const ProjectionOptions& options,
-    ThreadPool* pool, std::vector<double>* total_squared_distances = nullptr);
 
 }  // namespace rpc::opt
 

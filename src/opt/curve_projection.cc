@@ -360,28 +360,6 @@ ProjectionResult ProjectionWorkspace::ProjectLocal(const double* x, double lo,
   return best;
 }
 
-ProjectionResult ProjectionWorkspace::ProjectSeeded(const double* x,
-                                                    double seed, double lo,
-                                                    double hi) {
-  assert(bound());
-  // Grid-only has no refinement stage; degenerate to the full grid argmin,
-  // exactly like ProjectLocal.
-  if (options_.method == ProjectionMethod::kGridOnly) return Project(x);
-  EnsureDerivativeCurves();
-  lo = std::clamp(lo, 0.0, 1.0);
-  hi = std::clamp(hi, 0.0, 1.0);
-  assert(hi > lo);
-  seed = std::clamp(seed, lo, hi);
-
-  ProjectionResult best;
-  best.s = seed;
-  best.squared_distance = ObjectiveAt(x, seed);
-  best.evaluations = 1;
-  const double s = NewtonRefine(x, lo, hi, &best);
-  ConsiderCandidate(x, std::clamp(s, 0.0, 1.0), &best);
-  return best;
-}
-
 ProjectionResult ProjectionWorkspace::ProjectViaPolynomialRoots(
     const double* x) {
   const int k = curve_->degree();
@@ -465,14 +443,11 @@ void ProjectionWorkspace::EnsureGridCurveValues() {
   grid_f_ready_ = true;
 }
 
-void ProjectionWorkspace::ProjectPackedBlock(const RowBlock& block,
-                                             const double* rows,
+void ProjectionWorkspace::ProjectPackedBlock(const double* rows,
                                              int row_stride, double* s_out,
                                              double* squared_out) {
-  assert(bound());
-  const int count = block.rows();
-  if (count == 0) return;
-  assert(block.dim() == curve_->dimension());
+  const int count = block_.rows();
+  assert(block_.dim() == curve_->dimension());
   assert(options_.method != ProjectionMethod::kQuinticRoots);
   const int g = std::max(options_.grid_points, 2);
   const int d = curve_->dimension();
@@ -489,11 +464,11 @@ void ProjectionWorkspace::ProjectPackedBlock(const RowBlock& block,
     double* dist =
         grid_dist_block_.data() + static_cast<size_t>(i) * RowBlock::kLaneStride;
     if (i == 0 || i == g) {
-      simd.tile_squared_distances_seq(block.tile(), RowBlock::kLaneStride, d,
+      simd.tile_squared_distances_seq(block_.tile(), RowBlock::kLaneStride, d,
                                       count, f, dist);
     } else {
-      simd.tile_squared_distances_fused(block.tile(), RowBlock::kLaneStride, d,
-                                        count, f, dist);
+      simd.tile_squared_distances_fused(block_.tile(), RowBlock::kLaneStride,
+                                        d, count, f, dist);
     }
   }
   objective_evals_ += static_cast<std::int64_t>(g + 1) * count;
@@ -625,7 +600,7 @@ void ProjectionWorkspace::ProjectBlock(const double* rows, int count,
     const int chunk = std::min(RowBlock::kMaxRows, count - begin);
     const double* chunk_rows = rows + static_cast<size_t>(begin) * row_stride;
     block_.Pack(chunk_rows, chunk, row_stride);
-    ProjectPackedBlock(block_, chunk_rows, row_stride, s_out + begin,
+    ProjectPackedBlock(chunk_rows, row_stride, s_out + begin,
                        squared_out == nullptr ? nullptr : squared_out + begin);
   }
 }

@@ -37,6 +37,8 @@ struct ProjectionOptions {
   /// Bracket-width tolerance for Golden Section refinement and root
   /// tolerance for kQuinticRoots.
   double tol = 1e-10;
+
+  bool operator==(const ProjectionOptions&) const = default;
 };
 
 struct ProjectionResult {
@@ -61,12 +63,11 @@ struct ProjectionResult {
 /// evaluation workspace (with its cubic Horner fast path), the grid scratch,
 /// the hodograph / second-derivative curves (kNewton), and the power-basis
 /// coefficients of the stationarity polynomial (kQuinticRoots). The other
-/// methods derive the hodograph state on the first ProjectLocal() /
-/// ProjectSeeded() call after each Bind, so global-search-only binds never
-/// pay for it. Once a workspace's buffers have settled, Project() and
-/// ProjectLocal() are heap-allocation-free for every method — kQuinticRoots
-/// runs its Sturm root isolation inside a fixed-capacity
-/// PolynomialRootWorkspace.
+/// methods derive the hodograph state on the first ProjectLocal() call
+/// after each Bind, so global-search-only binds never pay for it. Once a
+/// workspace's buffers have settled, Project() and ProjectLocal() are
+/// heap-allocation-free for every method — kQuinticRoots runs its Sturm
+/// root isolation inside a fixed-capacity PolynomialRootWorkspace.
 ///
 /// One workspace per thread: Project() mutates the scratch, so workspaces
 /// must not be shared across concurrent callers (see ProjectRowsBatch).
@@ -116,14 +117,6 @@ class ProjectionWorkspace {
   void ProjectBlock(const double* rows, int count, int row_stride,
                     double* s_out, double* squared_out);
 
-  /// The ProjectBlock core for rows already packed into a caller-owned
-  /// tile: `block` must hold the same `count <= RowBlock::kMaxRows` rows as
-  /// the row-major `rows` pointer (refinement reads the row-major form).
-  /// Exposed so batch-of-curves evaluation can pack a block once and score
-  /// it against many bound workspaces (see ProjectRowsBatchMultiCurve).
-  void ProjectPackedBlock(const RowBlock& block, const double* rows,
-                          int row_stride, double* s_out, double* squared_out);
-
   /// Warm-start local refinement: finds the best candidate inside the
   /// bracket [lo, hi] (a sub-interval of [0, 1]) only, via a small interior
   /// grid plus safeguarded Newton on the stationarity condition (with
@@ -138,17 +131,6 @@ class ProjectionWorkspace {
   /// same sup tie-break as Project within the bracket.
   ProjectionResult ProjectLocal(const double* x, double lo, double hi,
                                 bool* hit_edge);
-
-  /// Probe-free warm refinement for rows whose minimiser has stopped
-  /// moving (IncrementalProjector's adaptive-bracket fast path): evaluates
-  /// the seed s only, then runs the safeguarded Newton refinement over
-  /// [lo, hi] directly — no interior bracket grid, so a settled row costs
-  /// a couple of evaluations instead of ProjectLocal's probe. There is no
-  /// edge detection; the caller must guard the result with the certified
-  /// curve-movement distance bound and fall back to Project() when it
-  /// fails. Same lazy hodograph state and sup tie-break as ProjectLocal.
-  ProjectionResult ProjectSeeded(const double* x, double seed, double lo,
-                                 double hi);
 
   /// Evaluation accounting since the last Bind/ResetEvaluationCounts:
   /// squared-distance evaluations plus stationarity evaluations (kNewton
@@ -187,6 +169,11 @@ class ProjectionWorkspace {
                                        int stride, bool refine);
   ProjectionResult FinishNewtonFromDists(const double* x, const double* gd,
                                          int stride);
+  /// The ProjectBlock core for one sub-block already packed into block_
+  /// (at most RowBlock::kMaxRows rows; refinement reads the same rows in
+  /// their row-major form at `rows`).
+  void ProjectPackedBlock(const double* rows, int row_stride, double* s_out,
+                          double* squared_out);
   /// Lock-step Golden Section refinement, the kGoldenSection back half of
   /// ProjectPackedBlock: collects every grid-local-minimum bracket of the
   /// block's rows, in the per-row path's order, into waves of up to

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace rpc::opt {
 
@@ -12,19 +11,10 @@ using linalg::Matrix;
 using linalg::Vector;
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 // Warm-start bracket half-width, in global grid cells (1 / grid_points):
 // the cell size the full search refines, so a minimiser drifting less than
 // one cell per iteration stays inside the bracket.
 constexpr double kBracketCells = 1.0;
-// Adaptive brackets: half-width = clamp(kBracketDriftFactor * drift,
-// kMinBracketCells, kBracketCells) cells ...
-constexpr double kBracketDriftFactor = 4.0;
-constexpr double kMinBracketCells = 0.25;
-// ... and rows whose last observed s* drift is at or below this skip the
-// bracket probe altogether.
-constexpr double kDriftSkipTol = 1e-8;
 
 // Units of work per worker when no fused accumulators fix the
 // segmentation: enough slack for dynamic load balancing, few enough that
@@ -47,52 +37,13 @@ void IncrementalProjector::Bind(const Matrix& data,
   const size_t n = static_cast<size_t>(data.rows());
   s_.assign(n, 0.0);
   dist_.assign(n, 0.0);
-  // No drift has been observed yet: infinity keeps the adaptive bracket at
-  // its full width until a row has two calls of history.
-  drift_.assign(n, kInf);
   squared_.assign(n, 0.0);
-  counter_slots_.assign(static_cast<size_t>(parallelism), RangeCounters());
+  fallback_slots_.assign(static_cast<size_t>(parallelism), 0);
   fused_segments_ = nullptr;
   fused_segment_rows_ = 0;
   calls_ = 0;
   last_was_full_ = false;
   last_fallbacks_ = 0;
-  last_probe_skips_ = 0;
-}
-
-void IncrementalProjector::ImportState(const Vector& s,
-                                       const Matrix& control_points) {
-  assert(bound());
-  assert(s.size() == data_->rows());
-  std::copy(s.data().begin(), s.data().end(), s_.begin());
-  // The imported rows' previous distances are unknown; the infinity
-  // sentinel disarms the certified bound for the first warm call (the
-  // bracket-edge check still guards it) and the first call's results
-  // re-arm it.
-  std::fill(dist_.begin(), dist_.end(), kInf);
-  // Imported state is by definition a *converged* model's state — every
-  // row was settled when it was exported — so under adaptive brackets the
-  // first warm call may take the probe-free fast path immediately (zero
-  // observed drift). That path's own bracket-edge detection still guards
-  // the call while the distance certificate is disarmed; with adaptive
-  // brackets off this value is unread. Any row the import mis-seeded is
-  // further repaired by the resync cadence and the learner's final full
-  // verification pass.
-  std::fill(drift_.begin(), drift_.end(), 0.0);
-  prev_control_ = control_points;
-  // A non-zero call count makes the next Project() warm; resyncs then fire
-  // on the usual cadence counted from the import.
-  calls_ = 1;
-}
-
-void IncrementalProjector::ExportState(Vector* s, Vector* dist) const {
-  assert(bound());
-  if (s != nullptr) {
-    s->data().assign(s_.begin(), s_.end());
-  }
-  if (dist != nullptr) {
-    dist->data().assign(dist_.begin(), dist_.end());
-  }
 }
 
 void IncrementalProjector::SetFusedAccumulators(
@@ -101,13 +52,6 @@ void IncrementalProjector::SetFusedAccumulators(
   assert(segments == nullptr || segment_rows >= 1);
   fused_segments_ = segments;
   fused_segment_rows_ = segment_rows;
-}
-
-Vector IncrementalProjector::Project(const BezierCurve& curve,
-                                     double* total_squared_distance) {
-  Vector scores;
-  ProjectInto(curve, &scores, total_squared_distance);
-  return scores;
 }
 
 void IncrementalProjector::ProjectInto(const BezierCurve& curve,
@@ -152,7 +96,7 @@ void IncrementalProjector::ProjectInto(const BezierCurve& curve,
   for (ProjectionWorkspace& w : workspaces_) w.Bind(curve, options_.projection);
 
   const int parallelism = static_cast<int>(workspaces_.size());
-  std::fill(counter_slots_.begin(), counter_slots_.end(), RangeCounters());
+  std::fill(fallback_slots_.begin(), fallback_slots_.end(), 0);
   // One partition loop: units of contiguous rows, each swept in order by
   // one worker. With fused Step 5 accumulation the units are the
   // accumulators' fixed-size segments, so exactly one worker fills each
@@ -177,7 +121,7 @@ void IncrementalProjector::ProjectInto(const BezierCurve& curve,
       ProjectRange(&workspaces_[static_cast<size_t>(worker)], full, delta,
                    begin, std::min<std::int64_t>(n, begin + unit_rows),
                    scores.data().data(), squared_.data(),
-                   &counter_slots_[static_cast<size_t>(worker)], acc);
+                   &fallback_slots_[static_cast<size_t>(worker)], acc);
     }
   };
   if (parallelism <= 1 || num_units <= 1) {
@@ -186,11 +130,7 @@ void IncrementalProjector::ProjectInto(const BezierCurve& curve,
     pool_->ParallelFor(num_units, /*grain=*/1, run_units);
   }
   std::int64_t fallbacks = 0;
-  std::int64_t probe_skips = 0;
-  for (const RangeCounters& slot : counter_slots_) {
-    fallbacks += slot.fallbacks;
-    probe_skips += slot.probe_skips;
-  }
+  for (const std::int64_t slot : fallback_slots_) fallbacks += slot;
 
   if (total_squared_distance != nullptr) {
     // Row-ordered reduction: J is bit-identical across thread counts.
@@ -203,13 +143,12 @@ void IncrementalProjector::ProjectInto(const BezierCurve& curve,
   ++calls_;
   last_was_full_ = full;
   last_fallbacks_ = fallbacks;
-  last_probe_skips_ = probe_skips;
 }
 
 void IncrementalProjector::ProjectRange(
     ProjectionWorkspace* workspace, bool full, double delta,
     std::int64_t begin, std::int64_t end, double* scores, double* squared,
-    RangeCounters* counters, curve::BernsteinDesignAccumulator* accumulator) {
+    std::int64_t* fallbacks, curve::BernsteinDesignAccumulator* accumulator) {
   const Matrix& data = *data_;
   if (begin >= end) return;
   if (full) {
@@ -222,7 +161,6 @@ void IncrementalProjector::ProjectRange(
                             scores + begin, squared + begin);
     for (std::int64_t i = begin; i < end; ++i) {
       const size_t row = static_cast<size_t>(i);
-      drift_[row] = std::fabs(scores[i] - s_[row]);
       s_[row] = scores[i];
       dist_[row] = squared[i];
       if (accumulator != nullptr) {
@@ -233,68 +171,29 @@ void IncrementalProjector::ProjectRange(
     return;
   }
   const int g = std::max(options_.projection.grid_points, 2);
-  const double default_half = kBracketCells / g;
-  const double min_half = kMinBracketCells / g;
+  const double half = kBracketCells / g;
   for (std::int64_t i = begin; i < end; ++i) {
     const double* x = data.RowPtr(static_cast<int>(i));
     const double s_prev = s_[static_cast<size_t>(i)];
-    ProjectionResult result;
-    {
-      const double drift = drift_[static_cast<size_t>(i)];
-      // Certified distance bound: the previous s* is inside the bracket and
-      // the curve moved at most delta, so any honest local refinement must
-      // land at or below (sqrt(d_prev) + delta)^2. Above it, something went
-      // wrong (e.g. the bracket was clipped away from s_prev at a domain
-      // boundary) — pay for the global search. (Infinity — a freshly
-      // imported row — disarms the check for this one call.)
-      const double certified =
-          std::sqrt(dist_[static_cast<size_t>(i)]) + delta;
-      const bool adaptive =
-          options_.adaptive_brackets && std::isfinite(drift);
-      if (adaptive && drift <= kDriftSkipTol) {
-        // Settled row: skip the bracket probe, Newton-refine straight from
-        // the previous s* on the floor-width bracket. The refinement
-        // walking to a bracket edge that is not a domain boundary means
-        // the minimiser escaped the floor bracket — treat it like
-        // ProjectLocal's edge detection. This guard matters most for
-        // freshly imported rows, whose infinity distance sentinel disarms
-        // the certified bound for one call.
-        const double lo = std::max(0.0, s_prev - min_half);
-        const double hi = std::min(1.0, s_prev + min_half);
-        result = workspace->ProjectSeeded(x, s_prev, lo, hi);
-        ++counters->probe_skips;
-        const bool hit_edge = (result.s <= lo + 1e-12 && lo > 0.0) ||
-                              (result.s >= hi - 1e-12 && hi < 1.0);
-        if (hit_edge ||
-            result.squared_distance > certified * certified + 1e-12) {
-          ++counters->fallbacks;
-          const int local_evaluations = result.evaluations;
-          result = workspace->Project(x);
-          result.evaluations += local_evaluations;
-        }
-      } else {
-        const double half =
-            adaptive ? std::clamp(kBracketDriftFactor * drift,
-                                  min_half, default_half)
-                     : default_half;
-        const double lo = std::max(0.0, s_prev - half);
-        const double hi = std::min(1.0, s_prev + half);
-        bool hit_edge = false;
-        result = workspace->ProjectLocal(x, lo, hi, &hit_edge);
-        const bool distance_suspect =
-            result.squared_distance > certified * certified + 1e-12;
-        if (hit_edge || distance_suspect) {
-          ++counters->fallbacks;
-          // The rejected local probe's evaluations were really performed
-          // (and counted by the workspace); keep them in the row's total so
-          // the per-point accounting invariant holds.
-          const int local_evaluations = result.evaluations;
-          result = workspace->Project(x);
-          result.evaluations += local_evaluations;
-        }
-      }
+    const double lo = std::max(0.0, s_prev - half);
+    const double hi = std::min(1.0, s_prev + half);
+    bool hit_edge = false;
+    ProjectionResult result = workspace->ProjectLocal(x, lo, hi, &hit_edge);
+    // Certified distance bound: the previous s* is inside the bracket and
+    // the curve moved at most delta, so any honest local refinement must
+    // land at or below (sqrt(d_prev) + delta)^2. Above it, something went
+    // wrong (e.g. the bracket was clipped away from s_prev at a domain
+    // boundary) — pay for the global search.
+    const double certified = std::sqrt(dist_[static_cast<size_t>(i)]) + delta;
+    if (hit_edge || result.squared_distance > certified * certified + 1e-12) {
+      ++*fallbacks;
+      // The rejected local probe's evaluations were really performed (and
+      // counted by the workspace); keep them in the row's total so the
+      // per-point accounting invariant holds.
+      const int local_evaluations = result.evaluations;
+      result = workspace->Project(x);
+      result.evaluations += local_evaluations;
     }
-    drift_[static_cast<size_t>(i)] = std::fabs(result.s - s_prev);
     s_[static_cast<size_t>(i)] = result.s;
     dist_[static_cast<size_t>(i)] = result.squared_distance;
     scores[i] = result.s;

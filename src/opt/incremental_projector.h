@@ -16,34 +16,22 @@ namespace rpc::opt {
 struct IncrementalProjectorOptions {
   /// Per-point solver configuration; shared by the warm and the full path.
   ProjectionOptions projection;
-  /// Safety resync cadence: every `resync_period`-th Project() call (and
+  /// Safety resync cadence: every `resync_period`-th ProjectInto() call (and
   /// always the first) runs the full global search for every row, so a row
   /// whose warm-started local refinement silently tracked the wrong local
   /// minimum is repaired within a bounded number of iterations. Values
   /// <= 1 resync on every call: the plain full re-projection engine
   /// (core::ReprojectionMode::kFull).
   int resync_period = 8;
-  /// Adaptive warm-start brackets: shrink each row's bracket (half-width
-  /// one global grid cell, 1 / projection.grid_points) from its observed
-  /// per-iteration s* drift, and skip the bracket probe entirely
-  /// (ProjectionWorkspace::ProjectSeeded — no interior grid, straight to
-  /// the safeguarded Newton refinement guarded by the certified distance
-  /// bound) for rows whose drift has all but vanished. Near convergence
-  /// most rows barely move, so this is the main lever on the streaming
-  /// tier's warm-refresh cost. Off by default: the trajectory it produces
-  /// is equivalent (same fallback safety net, same final full verification
-  /// in the learner) but not bit-identical to the fixed bracket, so callers
-  /// opt in where refresh latency matters.
-  bool adaptive_brackets = false;
 };
 
 /// Stateful re-projection engine for Step 4 of Algorithm 1: owns per-row
-/// state (last s*, last squared distance, last s* drift) across outer
-/// iterations, so that near convergence — when the curve barely moves and
-/// each row's optimal s* shifts only slightly (Eq. 19-20; the locality
-/// Hastie-Stuetzle-style alternating schemes exploit) — each row is
-/// re-projected by a cheap local refinement on a shrunken bracket instead
-/// of the full grid + per-bracket search.
+/// state (last s*, last squared distance) across outer iterations, so that
+/// near convergence — when the curve barely moves and each row's optimal s*
+/// shifts only slightly (Eq. 19-20; the locality Hastie-Stuetzle-style
+/// alternating schemes exploit) — each row is re-projected by a cheap local
+/// refinement on a one-grid-cell bracket instead of the full grid +
+/// per-bracket search.
 ///
 /// A row falls back to the full global search whenever the local result is
 /// suspect:
@@ -58,15 +46,6 @@ struct IncrementalProjectorOptions {
 ///
 /// With `resync_period <= 1` every call is a full pass, which makes the
 /// projector the single Step 4 engine of both reprojection modes.
-///
-/// Warm-start state can be exported after a fit and re-imported before the
-/// next one (ImportState/ExportState): the streaming tier seeds a model
-/// refresh with the live model's per-row s* so the refreshed fit starts
-/// from warm local refinements instead of a cold full search. An imported
-/// row's previous distance is unknown (sentinel infinity), so its first
-/// warm projection is guarded by the bracket-edge check alone; the
-/// certified bound re-arms from the second iteration on, and the learner's
-/// final full verification pass measures the result exactly either way.
 ///
 /// Fused accumulation (SetFusedAccumulators): the Step 5 normal equations
 /// need every (s_i, x_i) pair the projection just produced, and the
@@ -92,26 +71,11 @@ class IncrementalProjector {
   IncrementalProjector& operator=(const IncrementalProjector&) = delete;
 
   /// Binds to a data matrix (must outlive the projector) and resets all
-  /// per-row state; the next Project() call is a full projection. `pool`
+  /// per-row state; the next ProjectInto() call is a full projection. `pool`
   /// may be null (serial).
   void Bind(const linalg::Matrix& data,
             const IncrementalProjectorOptions& options, ThreadPool* pool);
   bool bound() const { return data_ != nullptr; }
-
-  /// Seeds the per-row warm-start state from a previous model: `s` holds
-  /// one projection index per bound row and `control_points` the curve
-  /// those indices were projected against (the certified-bound reference
-  /// for the first warm call). The next Project() call then runs warm
-  /// local refinements instead of the cold full search — the streaming
-  /// tier's refresh path. Must be called after Bind (Bind resets it).
-  void ImportState(const linalg::Vector& s,
-                   const linalg::Matrix& control_points);
-
-  /// Copies the per-row state of the most recent Project() call out:
-  /// projection indices into *s and squared distances into *dist (either
-  /// may be null). This is the state a later ImportState (on a projector
-  /// bound to the same rows) warm-starts from.
-  void ExportState(linalg::Vector* s, linalg::Vector* dist) const;
 
   /// Attaches per-segment Step 5 accumulators: every subsequent
   /// ProjectInto also streams (s_i, row_i) into the accumulator of row i's
@@ -126,34 +90,24 @@ class IncrementalProjector {
 
   /// Projects every bound row onto `curve`, warm-starting from the previous
   /// call's per-row results (full global search on the first call, on every
-  /// `resync_period`-th call, and per-row on fallback). Returns the scores;
-  /// accumulates J (Eq. 19) into `total_squared_distance` when non-null.
-  linalg::Vector Project(const curve::BezierCurve& curve,
-                         double* total_squared_distance);
-
-  /// Caller-buffer variant (Project wraps it): writes the scores into
-  /// *scores, resized in place. Once its capacity has settled — after the
-  /// first call — the whole projection pass performs zero heap allocations,
-  /// the contract the learner's steady-state outer loop is built on.
+  /// `resync_period`-th call, and per-row on fallback). Writes the scores
+  /// into *scores, resized in place, and J (Eq. 19) into
+  /// `total_squared_distance` when non-null. Once the buffers' capacity has
+  /// settled — after the first call — the whole projection pass performs
+  /// zero heap allocations, the contract the learner's steady-state outer
+  /// loop is built on.
   void ProjectInto(const curve::BezierCurve& curve, linalg::Vector* scores,
                    double* total_squared_distance);
 
-  /// Diagnostics for the most recent Project() call.
+  /// Diagnostics for the most recent ProjectInto() call.
   bool last_was_full() const { return last_was_full_; }
   std::int64_t last_fallback_count() const { return last_fallbacks_; }
-  /// Rows the adaptive fast path served without a bracket probe.
-  std::int64_t last_probe_skip_count() const { return last_probe_skips_; }
   int calls() const { return calls_; }
 
  private:
-  struct RangeCounters {
-    std::int64_t fallbacks = 0;
-    std::int64_t probe_skips = 0;
-  };
-
   void ProjectRange(ProjectionWorkspace* workspace, bool full, double delta,
                     std::int64_t begin, std::int64_t end, double* scores,
-                    double* squared, RangeCounters* counters,
+                    double* squared, std::int64_t* fallbacks,
                     curve::BernsteinDesignAccumulator* accumulator);
 
   const linalg::Matrix* data_ = nullptr;
@@ -166,9 +120,8 @@ class IncrementalProjector {
 
   std::vector<double> s_;       // per-row last s*
   std::vector<double> dist_;    // per-row last squared distance
-  std::vector<double> drift_;   // per-row last |s* - previous s*|
   std::vector<double> squared_; // per-call row-ordered J reduction buffer
-  std::vector<RangeCounters> counter_slots_;  // per-worker diagnostics
+  std::vector<std::int64_t> fallback_slots_;  // per-worker fallback counts
 
   // Fused Step 5 accumulation (null = detached).
   std::vector<curve::BernsteinDesignAccumulator>* fused_segments_ = nullptr;
@@ -179,7 +132,6 @@ class IncrementalProjector {
   int calls_ = 0;
   bool last_was_full_ = false;
   std::int64_t last_fallbacks_ = 0;
-  std::int64_t last_probe_skips_ = 0;
 };
 
 }  // namespace rpc::opt

@@ -70,15 +70,12 @@ StreamingRanker::StreamingRanker(serve::RankingService* service,
       aux_pool_(std::make_unique<ThreadPool>(options.num_threads <= 1 ? 1
                                                                       : 2)),
       queue_(std::max(options.queue_capacity, 1)) {
-  // The warm-refresh learner: same geometry/solver configuration as the
-  // cold fit, but a single trajectory (the seed pins the basin) running
-  // warm-started adaptive-bracket reprojection under a tight iteration
-  // cap — the whole point is that a refresh near the live optimum costs a
-  // few warm sweeps.
+  // The refresh learner: the cold fit's configuration, but a single
+  // trajectory (the seed control points pin the basin) under a tight
+  // iteration cap — a refresh near the live optimum converges in one or two
+  // outer iterations.
   warm_options_ = options_.learner;
   warm_options_.restarts = 1;
-  warm_options_.reprojection = core::ReprojectionMode::kWarmStart;
-  warm_options_.reprojection_adaptive_brackets = true;
   warm_options_.max_iterations = std::max(options_.warm_refit_max_iterations, 1);
   warm_options_.record_history = false;
 
@@ -512,8 +509,8 @@ void StreamingRanker::ApplyEventLocked(const Event& event) {
     row_ids_.push_back(event.row_id);
     id_to_index_[event.row_id] = static_cast<int>(row_ids_.size()) - 1;
     online_.Observe(x);
-    // One projection onto the live curve gives the new row its warm-start
-    // s* (and its served score until the next refresh).
+    // One projection onto the live curve gives the new row its served s*
+    // until the next refresh covers it.
     s_.push_back(ProjectRowLocked(x));
     ++appended_;
     append_events_.Increment();  // relaxed atomic: safe under mu_
@@ -594,10 +591,6 @@ bool StreamingRanker::PrepareRefreshLocked(RefreshJob* job, Status* status) {
   }
   job->rows = StoreMatrixLocked();
   job->row_ids = row_ids_;
-  job->seed_scores = Vector(n);
-  for (int i = 0; i < n; ++i) {
-    job->seed_scores[i] = s_[static_cast<size_t>(i)];
-  }
   job->seed_control = control_;
   job->old_mins = model_mins_;
   job->old_maxs = model_maxs_;
@@ -614,11 +607,9 @@ Status StreamingRanker::RunRefresh(RefreshJob* job) {
   const std::int64_t t0 = obs::TraceNowNs();
   const data::Normalizer& normalizer = *job->normalizer;
   const Matrix normalized = normalizer.Transform(job->rows);
-  core::RpcWarmStartState seed;
-  seed.control_points =
+  const Matrix seed =
       RemapControlPoints(job->seed_control, job->old_mins, job->old_maxs,
                          normalizer.mins(), normalizer.maxs());
-  seed.scores = std::move(job->seed_scores);
   const std::int64_t t1 = obs::TraceNowNs();
   refresh_renormalize_us_.Record((t1 - t0) / 1000);
   obs::EmitSpan(trace, "stream.renormalize", t0, t1);
@@ -646,7 +637,7 @@ Status StreamingRanker::RunRefresh(RefreshJob* job) {
     model_maxs_ = normalizer.maxs();
     ++version_;
     ++refreshes_;
-    // Refresh the warm state of every row the snapshot covered; rows
+    // Refresh the served score of every row the snapshot covered; rows
     // appended while the refit ran keep their append-time projection
     // (they are first-class citizens of the next refresh).
     for (size_t i = 0; i < job->row_ids.size(); ++i) {

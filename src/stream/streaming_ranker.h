@@ -101,16 +101,14 @@ struct DurabilityOptions {
 };
 
 struct StreamingRankerOptions {
-  /// Learner configuration for the cold initial fit (Start). The warm
-  /// refresh path derives its own configuration from this: restarts = 1
-  /// (the seed pins the basin), warm-start reprojection with adaptive
-  /// brackets, no J history, and `warm_refit_max_iterations` as the outer
-  /// iteration cap.
+  /// Learner configuration for the cold initial fit (Start). The refresh
+  /// path runs the same configuration with three changes: restarts = 1
+  /// (the seed control points pin the basin), no J history, and
+  /// `warm_refit_max_iterations` as the outer iteration cap.
   core::RpcLearnOptions learner;
-  /// Outer-iteration cap for a warm refresh. A refresh whose data barely
-  /// moved converges in a handful of warm iterations; the cap bounds the
-  /// cost of one that moved a lot (the next refresh continues from its
-  /// result).
+  /// Outer-iteration cap for a refresh. A refresh whose data barely moved
+  /// converges in one or two iterations; the cap bounds the cost of one
+  /// that moved a lot (the next refresh continues from its result).
   int warm_refit_max_iterations = 16;
   /// Capacity of the ingestion queue, in events. Full queue = Append
   /// blocks (backpressure), TryAppend rejects.
@@ -163,17 +161,17 @@ struct StreamStats {
 ///   * Append()/Retire() enqueue ingestion events into a bounded queue
 ///     (backpressure on Append, rejection on TryAppend) and return
 ///     immediately; a background worker drains the queue in FIFO order,
-///     maintaining the row store, the per-row warm-start state (each
-///     appended row is projected once onto the live curve), and the
+///     maintaining the row store, the per-row served score (each appended
+///     row is projected once onto the live curve), and the
 ///     data::OnlineNormalizer sufficient statistics.
 ///   * After each event the DriftPolicy decides whether to refresh. A
 ///     refresh snapshots the store under the lock, then — off the lock, so
 ///     ingestion continues — renormalises with the live bounds, remaps the
 ///     live control points into the new coordinates (Eq. 16), and runs
-///     core::RpcLearner::Refit seeded with the remapped control points and
-///     the per-row s* (imported into opt::IncrementalProjector), so the
-///     refresh costs a few warm outer iterations instead of a cold
-///     multi-restart fit.
+///     core::RpcLearner::Refit seeded with the remapped control points
+///     alone — the model is its control points, and Step 4 re-derives
+///     every s* from them — so the refresh costs one or two outer
+///     iterations instead of a cold multi-restart fit.
 ///   * Each successful refresh is published as a new immutable version
 ///     through serve::RankingService::RegisterDataset — the copy-on-write
 ///     swap PR 3 built, so in-flight queries never see a torn model and
@@ -182,10 +180,10 @@ struct StreamStats {
 ///     publishes are ordered by version.
 ///
 /// Determinism: with the default single background worker, events apply in
-/// arrival order and every refresh is a pure function of (row store, warm
-/// state, options) — Snapshot() after ForceRefresh() is bit-identical to
-/// running RpcLearner::Refit by hand on the same state (the streaming
-/// machinery adds no arithmetic).
+/// arrival order and every refresh is a pure function of (row store, live
+/// control points and bounds, options) — Snapshot() after ForceRefresh() is
+/// bit-identical to running RpcLearner::Refit by hand on the same state
+/// (the streaming machinery adds no arithmetic).
 ///
 /// Thread safety: all public methods may be called from any thread.
 class StreamingRanker {
@@ -209,7 +207,7 @@ class StreamingRanker {
   /// Rebuilds the exact pre-crash state from `durability.dir` instead of
   /// Start(): loads the newest readable snapshot (falling back across
   /// corrupt ones), replays the event-log suffix through the same apply
-  /// path ingestion uses — so row ids, normalizer statistics and warm
+  /// path ingestion uses — so row ids, normalizer statistics and served
   /// scores come back bit-identical — truncates any torn log tail, writes
   /// a fresh post-recovery snapshot, and re-publishes the recovered model
   /// version to the serving tier. Events that were applied and synced
@@ -293,12 +291,12 @@ class StreamingRanker {
   /// policy says) and publish it.
   Status ForceRefresh();
 
-  /// Consistent view of the live model + warm state.
+  /// Consistent view of the live model + served scores.
   struct Snapshot {
     std::uint64_t version = 0;
     /// The served model: alpha, the *fit-time* bounds, control points.
     core::PortableRpcModel model;
-    /// Per live row: the warm-start s* (the fit scores for rows covered by
+    /// Per live row: the served s* (the fit scores for rows covered by
     /// the last refresh; the projection onto the live curve for rows
     /// appended since).
     linalg::Vector scores;
@@ -316,7 +314,8 @@ class StreamingRanker {
   /// bench derives p50/p99 refresh latency from this).
   std::vector<double> RefreshSecondsHistory() const;
 
-  /// The derived warm-refresh learner configuration (tests replicate a
+  /// The derived refresh learner configuration: `learner` with restarts,
+  /// max_iterations and record_history overridden (tests replicate a
   /// refresh with exactly this).
   const core::RpcLearnOptions& warm_options() const { return warm_options_; }
 
@@ -343,7 +342,6 @@ class StreamingRanker {
   struct RefreshJob {
     linalg::Matrix rows;
     std::vector<std::int64_t> row_ids;
-    linalg::Vector seed_scores;
     linalg::Matrix seed_control;
     linalg::Vector old_mins, old_maxs;
     /// Live bounds frozen at snapshot time (optional only because
@@ -429,7 +427,7 @@ class StreamingRanker {
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
 
-  // Row store (flat row-major) + identity + warm state, all index-aligned.
+  // Row store (flat row-major) + identity + served score, all index-aligned.
   std::vector<double> rows_;
   std::vector<std::int64_t> row_ids_;
   std::vector<double> s_;

@@ -1,9 +1,9 @@
-// RpcLearner::Refit — the streaming tier's warm-refresh primitive: seeded
-// from a previous fit's control points and per-row s*, it must converge to
-// the same optimum as a cold fit (measured by the same final full
-// projection), be deterministic across thread counts, and cost markedly
-// fewer outer iterations than the cold fit it replaces.
-#include <cmath>
+// RpcLearner::Refit — the streaming tier's refresh primitive: seeded from
+// a previous fit's control points alone, it must converge to the same
+// optimum as a cold fit (measured by the same full projection), be
+// deterministic across thread counts, and cost markedly fewer outer
+// iterations than the cold fit it replaces.
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@ namespace rpc::core {
 namespace {
 
 using linalg::Matrix;
-using linalg::Vector;
 using order::Orientation;
 
 Matrix FixtureData(const Orientation& alpha, int n, uint64_t seed) {
@@ -31,10 +30,9 @@ Matrix FixtureData(const Orientation& alpha, int n, uint64_t seed) {
   return norm->Transform(sample.data);
 }
 
-RpcLearnOptions WarmOptions() {
+// The streaming refresh's configuration: the default (kFull) engine.
+RpcLearnOptions RefitOptions() {
   RpcLearnOptions options;
-  options.reprojection = ReprojectionMode::kWarmStart;
-  options.reprojection_adaptive_brackets = true;
   options.seed = 17;
   return options;
 }
@@ -42,14 +40,12 @@ RpcLearnOptions WarmOptions() {
 TEST(RpcLearnerRefitTest, SeededRefitReconvergesToTheColdOptimum) {
   const Orientation alpha = *Orientation::FromSigns({+1, +1, -1});
   const Matrix normalized = FixtureData(alpha, 200, 91);
-  const RpcLearner learner(WarmOptions());
+  const RpcLearner learner(RefitOptions());
   const auto cold = learner.Fit(normalized, alpha);
   ASSERT_TRUE(cold.ok());
 
-  RpcWarmStartState seed;
-  seed.control_points = cold->curve.control_points();
-  seed.scores = cold->scores;
-  const auto refit = learner.Refit(normalized, alpha, seed);
+  const auto refit =
+      learner.Refit(normalized, alpha, cold->curve.control_points());
   ASSERT_TRUE(refit.ok()) << refit.status().ToString();
 
   // Restarting at the optimum: J cannot get worse (same final full
@@ -65,17 +61,14 @@ TEST(RpcLearnerRefitTest, SeededRefitReconvergesToTheColdOptimum) {
 TEST(RpcLearnerRefitTest, RefitBitIdenticalAcrossThreadCounts) {
   const Orientation alpha = *Orientation::FromSigns({+1, -1});
   const Matrix normalized = FixtureData(alpha, 160, 93);
-  RpcLearnOptions options = WarmOptions();
+  RpcLearnOptions options = RefitOptions();
   const auto cold = RpcLearner(options).Fit(normalized, alpha);
   ASSERT_TRUE(cold.ok());
 
-  RpcWarmStartState seed;
-  seed.control_points = cold->curve.control_points();
-  seed.scores = cold->scores;
+  Matrix seed = cold->curve.control_points();
   // Perturb the seed slightly so the refit has real work to do.
-  for (int j = 0; j < seed.control_points.rows(); ++j) {
-    seed.control_points(j, 1) =
-        std::min(0.95, seed.control_points(j, 1) + 0.02);
+  for (int j = 0; j < seed.rows(); ++j) {
+    seed(j, 1) = std::min(0.95, seed(j, 1) + 0.02);
   }
 
   options.num_threads = 1;
@@ -95,34 +88,19 @@ TEST(RpcLearnerRefitTest, RefitBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(RpcLearnerRefitTest, RefitWithoutScoresSeedsControlPointsOnly) {
-  const Orientation alpha = *Orientation::FromSigns({+1, +1});
-  const Matrix normalized = FixtureData(alpha, 120, 95);
-  const RpcLearner learner(WarmOptions());
-  const auto cold = learner.Fit(normalized, alpha);
-  ASSERT_TRUE(cold.ok());
-
-  RpcWarmStartState seed;
-  seed.control_points = cold->curve.control_points();
-  const auto refit = learner.Refit(normalized, alpha, seed);
-  ASSERT_TRUE(refit.ok());
-  EXPECT_NEAR(refit->final_j, cold->final_j,
-              std::max(1e-7, 1e-6 * std::fabs(cold->final_j)));
-}
-
-TEST(RpcLearnerRefitTest, RefitUnderFullReprojectionStillWorks) {
+// Refit runs under whatever Step 4 mode the options name; the warm-started
+// engine must reconverge from the optimum just the same.
+TEST(RpcLearnerRefitTest, RefitUnderWarmStartReprojectionStillWorks) {
   const Orientation alpha = *Orientation::FromSigns({+1, +1});
   const Matrix normalized = FixtureData(alpha, 100, 97);
   RpcLearnOptions options;
-  options.reprojection = ReprojectionMode::kFull;
+  options.reprojection = ReprojectionMode::kWarmStart;
   options.seed = 29;
   const RpcLearner learner(options);
   const auto cold = learner.Fit(normalized, alpha);
   ASSERT_TRUE(cold.ok());
-  RpcWarmStartState seed;
-  seed.control_points = cold->curve.control_points();
-  seed.scores = cold->scores;  // ignored by kFull, must not break
-  const auto refit = learner.Refit(normalized, alpha, seed);
+  const auto refit =
+      learner.Refit(normalized, alpha, cold->curve.control_points());
   ASSERT_TRUE(refit.ok());
   EXPECT_LE(refit->final_j, cold->final_j + 1e-9);
 }
@@ -130,52 +108,10 @@ TEST(RpcLearnerRefitTest, RefitUnderFullReprojectionStillWorks) {
 TEST(RpcLearnerRefitTest, RejectsMalformedSeeds) {
   const Orientation alpha = *Orientation::FromSigns({+1, +1});
   const Matrix normalized = FixtureData(alpha, 60, 99);
-  const RpcLearner learner(WarmOptions());
+  const RpcLearner learner(RefitOptions());
 
-  RpcWarmStartState bad_shape;
-  bad_shape.control_points = Matrix(3, 4);  // d mismatch
-  EXPECT_FALSE(learner.Refit(normalized, alpha, bad_shape).ok());
-
-  RpcWarmStartState bad_scores;
-  bad_scores.control_points = Matrix(2, 4);
-  bad_scores.scores = Vector(7);  // neither 0 nor n
-  EXPECT_FALSE(learner.Refit(normalized, alpha, bad_scores).ok());
-}
-
-// The fused projection+accumulation pass and the adaptive warm-start
-// brackets both ride the ordinary Fit path; a fit with adaptive brackets
-// must agree with the fixed-bracket fit on the measured optimum (same
-// final full projection) and the ranking, for every thread count.
-TEST(RpcLearnerRefitTest, AdaptiveBracketsMatchFixedBrackets) {
-  const Orientation alpha = *Orientation::FromSigns({+1, +1, +1});
-  const Matrix normalized = FixtureData(alpha, 220, 101);
-  RpcLearnOptions options;
-  options.reprojection = ReprojectionMode::kWarmStart;
-  options.seed = 55;
-
-  options.reprojection_adaptive_brackets = false;
-  const auto fixed = RpcLearner(options).Fit(normalized, alpha);
-  ASSERT_TRUE(fixed.ok());
-
-  options.reprojection_adaptive_brackets = true;
-  options.num_threads = 1;
-  const auto adaptive_serial = RpcLearner(options).Fit(normalized, alpha);
-  ASSERT_TRUE(adaptive_serial.ok());
-  EXPECT_NEAR(adaptive_serial->final_j, fixed->final_j,
-              std::max(1e-7, 1e-6 * std::fabs(fixed->final_j)));
-  EXPECT_EQ(rank::RankingList(adaptive_serial->scores).OrderedIndices(),
-            rank::RankingList(fixed->scores).OrderedIndices());
-
-  // Adaptive fits stay bit-identical across thread counts.
-  for (int threads : {2, 8}) {
-    options.num_threads = threads;
-    const auto adaptive = RpcLearner(options).Fit(normalized, alpha);
-    ASSERT_TRUE(adaptive.ok());
-    EXPECT_EQ(adaptive->final_j, adaptive_serial->final_j);
-    for (int i = 0; i < adaptive_serial->scores.size(); ++i) {
-      EXPECT_EQ(adaptive->scores[i], adaptive_serial->scores[i]);
-    }
-  }
+  EXPECT_FALSE(learner.Refit(normalized, alpha, Matrix(3, 4)).ok());  // d
+  EXPECT_FALSE(learner.Refit(normalized, alpha, Matrix(2, 3)).ok());  // k+1
 }
 
 }  // namespace

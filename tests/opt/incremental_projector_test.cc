@@ -1,7 +1,6 @@
 #include "opt/incremental_projector.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -72,7 +71,8 @@ TEST(IncrementalProjectorTest, FirstCallMatchesBatchBitwise) {
     options.projection = projection;
     incremental.Bind(data, options, nullptr);
     double j = 0.0;
-    const Vector scores = incremental.Project(curve, &j);
+    Vector scores;
+    incremental.ProjectInto(curve, &scores, &j);
     EXPECT_TRUE(incremental.last_was_full());
     ASSERT_EQ(scores.size(), batch.size());
     for (int i = 0; i < scores.size(); ++i) {
@@ -95,7 +95,7 @@ TEST(IncrementalProjectorTest, WarmCallsBitIdenticalAcrossThreadCounts) {
   double ref_j = 0.0;
   BezierCurve curve = start;
   for (int t = 0; t < 3; ++t) {
-    ref_scores = serial.Project(curve, &ref_j);
+    serial.ProjectInto(curve, &ref_scores, &ref_j);
     curve = Perturbed(curve, 2e-3, 100 + static_cast<uint64_t>(t));
   }
 
@@ -107,7 +107,7 @@ TEST(IncrementalProjectorTest, WarmCallsBitIdenticalAcrossThreadCounts) {
     double j = 0.0;
     BezierCurve moving = start;
     for (int t = 0; t < 3; ++t) {
-      scores = incremental.Project(moving, &j);
+      incremental.ProjectInto(moving, &scores, &j);
       moving = Perturbed(moving, 2e-3, 100 + static_cast<uint64_t>(t));
     }
     EXPECT_FALSE(incremental.last_was_full());
@@ -129,11 +129,13 @@ TEST(IncrementalProjectorTest, WarmMatchesFullSearchAfterSmallMove) {
   IncrementalProjector incremental;
   incremental.Bind(data, {}, nullptr);
   double j = 0.0;
-  incremental.Project(start, &j);
+  Vector first;
+  incremental.ProjectInto(start, &first, &j);
 
   const BezierCurve moved = Perturbed(start, 1e-3, 29);
   double warm_j = 0.0;
-  const Vector warm = incremental.Project(moved, &warm_j);
+  Vector warm;
+  incremental.ProjectInto(moved, &warm, &warm_j);
   EXPECT_FALSE(incremental.last_was_full());
 
   double full_j = 0.0;
@@ -163,11 +165,13 @@ TEST(IncrementalProjectorTest, LargeMoveFallsBackToGlobalSearch) {
   IncrementalProjector incremental;
   incremental.Bind(data, options, nullptr);
   double j = 0.0;
-  incremental.Project(start, &j);
+  Vector first;
+  incremental.ProjectInto(start, &first, &j);
 
   const BezierCurve moved = Perturbed(start, 0.3, 39);
   double warm_j = 0.0;
-  const Vector warm = incremental.Project(moved, &warm_j);
+  Vector warm;
+  incremental.ProjectInto(moved, &warm, &warm_j);
   EXPECT_GT(incremental.last_fallback_count(), 0);
 
   double full_j = 0.0;
@@ -192,7 +196,8 @@ TEST(IncrementalProjectorTest, ResyncEveryCallMatchesBatch) {
   BezierCurve curve = start;
   for (int t = 0; t < 3; ++t) {
     double j = 0.0;
-    const Vector scores = incremental.Project(curve, &j);
+    Vector scores;
+    incremental.ProjectInto(curve, &scores, &j);
     EXPECT_TRUE(incremental.last_was_full());
     double batch_j = 0.0;
     const Vector batch = ProjectRowsBatch(curve, data, {}, nullptr, &batch_j);
@@ -202,47 +207,6 @@ TEST(IncrementalProjectorTest, ResyncEveryCallMatchesBatch) {
     EXPECT_EQ(j, batch_j);
     curve = Perturbed(curve, 5e-3, 200 + static_cast<uint64_t>(t));
   }
-}
-
-// Exported warm-start state re-imported into a fresh projector must make
-// its first call warm and land on the same per-row results the original
-// trajectory would have produced — the streaming tier's refresh seeding.
-TEST(IncrementalProjectorTest, ImportedStateWarmStartsBitIdentically) {
-  const BezierCurve start = MonotoneCubic(3, 57);
-  const Matrix data = RandomData(140, 3, 58);
-  IncrementalProjectorOptions options;
-
-  IncrementalProjector original;
-  original.Bind(data, options, nullptr);
-  double j0 = 0.0;
-  const Vector s0 = original.Project(start, &j0);
-  const BezierCurve moved = Perturbed(start, 2e-3, 59);
-  double j1 = 0.0;
-  const Vector s1 = original.Project(moved, &j1);
-  EXPECT_FALSE(original.last_was_full());
-
-  Vector exported_s, exported_dist;
-  original.ExportState(&exported_s, &exported_dist);
-  ASSERT_EQ(exported_s.size(), data.rows());
-  ASSERT_EQ(exported_dist.size(), data.rows());
-  for (int i = 0; i < s1.size(); ++i) EXPECT_EQ(exported_s[i], s1[i]);
-
-  // A fresh projector seeded with the *first* call's state replays the
-  // second call warm. The imported path has no previous-distance
-  // certificate (infinity sentinel), so results can differ from the
-  // original warm call only where the original fell back on the distance
-  // check; with this small a move there are none and the replay must be
-  // bitwise identical.
-  IncrementalProjector seeded;
-  seeded.Bind(data, options, nullptr);
-  seeded.ImportState(s0, start.control_points());
-  double j_seeded = 0.0;
-  const Vector s_seeded = seeded.Project(moved, &j_seeded);
-  EXPECT_FALSE(seeded.last_was_full());
-  for (int i = 0; i < s1.size(); ++i) {
-    EXPECT_EQ(s_seeded[i], s1[i]) << "row " << i;
-  }
-  EXPECT_EQ(j_seeded, j1);
 }
 
 // Fused accumulation: attaching per-segment accumulators must not change
@@ -277,8 +241,10 @@ TEST(IncrementalProjectorTest, FusedAccumulationMatchesSeparateSweep) {
       BezierCurve curve = start;
       for (int t = 0; t < 3; ++t) {
         double j_plain = 0.0, j_fused = 0.0;
-        const Vector s_plain = plain.Project(curve, &j_plain);
-        const Vector s_fused = fused.Project(curve, &j_fused);
+        Vector s_plain;
+        plain.ProjectInto(curve, &s_plain, &j_plain);
+        Vector s_fused;
+        fused.ProjectInto(curve, &s_fused, &j_fused);
         EXPECT_EQ(j_plain, j_fused) << "threads " << threads << " t " << t;
         for (int i = 0; i < n; ++i) {
           ASSERT_EQ(s_plain[i], s_fused[i])
@@ -325,38 +291,6 @@ TEST(IncrementalProjectorTest, FusedAccumulationMatchesSeparateSweep) {
       }
     }
   }
-}
-
-// Adaptive brackets: once rows settle the probe is skipped, yet results
-// stay pinned to the full search by the certified-bound fallback — the
-// final projection of a converged trajectory matches the global search.
-TEST(IncrementalProjectorTest, AdaptiveBracketsSettleAndStayCorrect) {
-  const BezierCurve start = MonotoneCubic(4, 77);
-  const Matrix data = RandomData(200, 4, 78);
-  IncrementalProjectorOptions options;
-  options.adaptive_brackets = true;
-  options.resync_period = 1000;  // no resync inside this test
-  IncrementalProjector adaptive;
-  adaptive.Bind(data, options, nullptr);
-
-  // A stationary curve: after two calls every row's drift is ~0, so call
-  // three onward must use the probe-free fast path for almost all rows.
-  double j = 0.0;
-  (void)adaptive.Project(start, &j);
-  (void)adaptive.Project(start, &j);
-  EXPECT_EQ(adaptive.last_probe_skip_count(), 0);  // drift history not yet set
-  (void)adaptive.Project(start, &j);
-  EXPECT_GE(adaptive.last_probe_skip_count(), data.rows() * 9 / 10);
-
-  const Vector scores = adaptive.Project(start, &j);
-  double j_batch = 0.0;
-  const Vector batch = ProjectRowsBatch(start, data, {}, nullptr, &j_batch);
-  for (int i = 0; i < scores.size(); ++i) {
-    // The probe-free Newton path refines to the same stationary point the
-    // full search found (both stop at tol 1e-10; allow that slack).
-    EXPECT_NEAR(scores[i], batch[i], 1e-6) << "row " << i;
-  }
-  EXPECT_NEAR(j, j_batch, 1e-9 * (1.0 + std::fabs(j_batch)));
 }
 
 }  // namespace

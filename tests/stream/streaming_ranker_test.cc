@@ -84,16 +84,29 @@ TEST(StreamingRankerTest, StartPublishesVersionOneAndServesBitIdentically) {
   }
 }
 
-// The tentpole acceptance criterion: the streaming machinery adds no
-// arithmetic. A snapshot taken before ForceRefresh carries the exact warm
-// state (live bounds, control points, per-row s*); replaying
-// RpcLearner::Refit by hand on that state must reproduce the
-// post-refresh snapshot bit for bit — scores, control points, J.
+// The streaming machinery adds no arithmetic. A snapshot taken before
+// ForceRefresh carries the exact refresh seed (live bounds, control
+// points); replaying RpcLearner::Refit by hand on that state must
+// reproduce the post-refresh snapshot bit for bit — scores, control
+// points, J.
 TEST(StreamingRankerTest, RefreshBitIdenticalToHandRolledWarmRefit) {
   const Orientation alpha = *Orientation::FromSigns({+1, -1, +1});
   const Matrix raw = RawFixture(alpha, 90, 9);
-  StreamingRanker ranker(nullptr, "live", QuietOptions());
+  const StreamingRankerOptions options = QuietOptions();
+  StreamingRanker ranker(nullptr, "live", options);
   ASSERT_TRUE(ranker.Start(raw, alpha).ok());
+
+  // The refresh runs the cold fit's learner configuration, Step 4 engine
+  // included: only the restart count, the iteration cap and the J history
+  // are its own.
+  core::RpcLearnOptions refresh = ranker.warm_options();
+  EXPECT_EQ(refresh.restarts, 1);
+  EXPECT_EQ(refresh.max_iterations, options.warm_refit_max_iterations);
+  EXPECT_FALSE(refresh.record_history);
+  refresh.restarts = options.learner.restarts;
+  refresh.max_iterations = options.learner.max_iterations;
+  refresh.record_history = options.learner.record_history;
+  EXPECT_TRUE(refresh == options.learner);
 
   // Track every row by id, exactly as the ranker stores them.
   std::unordered_map<std::int64_t, Vector> rows_by_id;
@@ -129,11 +142,9 @@ TEST(StreamingRankerTest, RefreshBitIdenticalToHandRolledWarmRefit) {
   const auto normalizer =
       data::Normalizer::FromBounds(before.live_mins, before.live_maxs);
   ASSERT_TRUE(normalizer.ok());
-  core::RpcWarmStartState seed;
-  seed.control_points = RemapControlPoints(
+  const Matrix seed = RemapControlPoints(
       before.model.control_points, before.model.mins, before.model.maxs,
       before.live_mins, before.live_maxs);
-  seed.scores = before.scores;
   const core::RpcLearner learner(ranker.warm_options());
   const auto refit =
       learner.Refit(normalizer->Transform(rows), alpha, seed);
