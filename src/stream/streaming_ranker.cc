@@ -203,13 +203,7 @@ Status StreamingRanker::Start(const Matrix& initial_rows,
   // started_ becomes visible must be captured.
   std::unique_ptr<durable::EventLog> log;
   if (options_.durability.enabled()) {
-    durable::EventLog::Options log_options;
-    log_options.segment_bytes = options_.durability.segment_bytes;
-    log_options.injector = options_.durability.injector.get();
-    RPC_ASSIGN_OR_RETURN(
-        log, durable::EventLog::Open(options_.durability.dir,
-                                     initial_rows.cols(),
-                                     /*next_seq=*/1, log_options));
+    RPC_ASSIGN_OR_RETURN(log, OpenLog(initial_rows.cols(), /*next_seq=*/1));
   }
 
   core::PortableRpcModel portable;
@@ -251,11 +245,7 @@ Status StreamingRanker::Start(const Matrix& initial_rows,
   if (options_.durability.enabled()) {
     RPC_RETURN_IF_ERROR(WriteSnapshotNow());
   }
-  Status published = Status::Ok();
-  if (service_ != nullptr) {
-    published =
-        service_->RegisterDataset(dataset_id_, portable, options_.serving);
-  }
+  const Status published = Publish(portable);
   {
     std::lock_guard<std::mutex> lock(mu_);
     refresh_in_flight_ = false;
@@ -272,14 +262,7 @@ Result<std::int64_t> StreamingRanker::AppendImpl(const Vector& raw_row,
   event.enqueue_ns = obs::TraceNowNs();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return Status::FailedPrecondition("StreamingRanker: stopped");
-    if (!started_) {
-      return Status::FailedPrecondition("StreamingRanker: Start first");
-    }
-    if (follower_) {
-      return Status::FailedPrecondition(
-          "StreamingRanker: read-only follower (promote first)");
-    }
+    RPC_RETURN_IF_ERROR(CheckWritableLocked());
     if (raw_row.size() != d_) {
       return Status::InvalidArgument(
           StrFormat("StreamingRanker: row has %d attributes, expected %d",
@@ -312,6 +295,18 @@ Result<std::int64_t> StreamingRanker::TryAppend(const Vector& raw_row) {
   return AppendImpl(raw_row, /*blocking=*/false);
 }
 
+Status StreamingRanker::CheckWritableLocked() const {
+  if (stopped_) return Status::FailedPrecondition("StreamingRanker: stopped");
+  if (!started_) {
+    return Status::FailedPrecondition("StreamingRanker: Start first");
+  }
+  if (follower_) {
+    return Status::FailedPrecondition(
+        "StreamingRanker: read-only follower (promote first)");
+  }
+  return Status::Ok();
+}
+
 Status StreamingRanker::Retire(std::int64_t row_id) {
   Event event;
   event.kind = Event::Kind::kRetire;
@@ -319,14 +314,7 @@ Status StreamingRanker::Retire(std::int64_t row_id) {
   event.enqueue_ns = obs::TraceNowNs();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return Status::FailedPrecondition("StreamingRanker: stopped");
-    if (!started_) {
-      return Status::FailedPrecondition("StreamingRanker: Start first");
-    }
-    if (follower_) {
-      return Status::FailedPrecondition(
-          "StreamingRanker: read-only follower (promote first)");
-    }
+    RPC_RETURN_IF_ERROR(CheckWritableLocked());
     ++pending_;
   }
   if (!queue_.Push(std::move(event))) {
@@ -369,20 +357,10 @@ Status StreamingRanker::ForceRefresh() {
     // invariant.
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return pending_ == 0 && !refresh_in_flight_; });
-    if (stopped_) {
-      return Status::FailedPrecondition("StreamingRanker: stopped");
-    }
-    if (!started_) {
-      return Status::FailedPrecondition("StreamingRanker: Start first");
-    }
-    if (follower_) {
-      return Status::FailedPrecondition(
-          "StreamingRanker: read-only follower (promote first)");
-    }
-    Status reason = Status::Ok();
-    if (!PrepareRefreshLocked(&job, &reason)) return reason;
+    RPC_RETURN_IF_ERROR(CheckWritableLocked());
+    RPC_RETURN_IF_ERROR(PrepareJobLocked(RefreshJob::Kind::kWarm, &job));
   }
-  return RunRefresh(&job);
+  return RunJob(&job);
 }
 
 StreamingRanker::Snapshot StreamingRanker::snapshot() const {
@@ -438,37 +416,14 @@ void StreamingRanker::ProcessOneEvent() {
     // (replayed events carry no stamp and are skipped).
     ingest_lag_us_.Record((obs::TraceNowNs() - event->enqueue_ns) / 1000);
   }
-  std::shared_ptr<RefreshJob> refresh_job;
-  std::shared_ptr<ColdJob> cold_job;
+  std::shared_ptr<RefreshJob> job;
   std::shared_ptr<durable::SnapshotState> snapshot_state;
   bool durable = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ApplyEventLocked(*event);
-    ++events_processed_;
-    ++events_since_refresh_;
-    ++events_since_cold_;
     durable = log_ != nullptr;
-    if (started_ && !refresh_in_flight_ && PolicyFiresLocked()) {
-      RefreshJob job;
-      Status reason = Status::Ok();
-      if (PrepareRefreshLocked(&job, &reason)) {
-        refresh_job = std::make_shared<RefreshJob>(std::move(job));
-      } else {
-        ++skipped_refreshes_;
-        events_since_refresh_ = 0;  // don't re-fire on every event
-      }
-    } else if (started_ && !refresh_in_flight_ &&
-               options_.drift.cold_refit_period_events > 0 &&
-               events_since_cold_ >=
-                   options_.drift.cold_refit_period_events) {
-      ColdJob job;
-      if (PrepareColdLocked(&job)) {
-        cold_job = std::make_shared<ColdJob>(std::move(job));
-      } else {
-        events_since_cold_ = 0;  // don't re-fire on every event
-      }
-    }
+    job = NextJobLocked(/*events_since_job=*/true);
     if (durable && options_.durability.snapshot_every_events > 0) {
       ++events_since_snapshot_;
       if (!snapshot_in_flight_ &&
@@ -488,20 +443,22 @@ void StreamingRanker::ProcessOneEvent() {
   // ingestion workers only ever apply events.
   if (durable) ScheduleLogFlush();
   if (snapshot_state != nullptr) {
-    aux_pool_->Submit(
-        [this, snapshot_state] { RunSnapshot(snapshot_state); });
+    aux_pool_->Submit([this, snapshot_state] {
+      const Status written = PersistSnapshot(*snapshot_state);
+      std::lock_guard<std::mutex> lock(mu_);
+      snapshot_in_flight_ = false;
+      ++(written.ok() ? snapshots_ : durable_errors_);
+    });
   }
-  if (refresh_job != nullptr) {
-    aux_pool_->Submit(
-        [this, refresh_job] { (void)RunRefresh(refresh_job.get()); });
-  }
-  if (cold_job != nullptr) {
-    aux_pool_->Submit(
-        [this, cold_job] { (void)RunColdRefit(cold_job.get()); });
+  if (job != nullptr) {
+    aux_pool_->Submit([this, job] { (void)RunJob(job.get()); });
   }
 }
 
 void StreamingRanker::ApplyEventLocked(const Event& event) {
+  ++events_processed_;
+  ++events_since_refresh_;
+  ++events_since_cold_;
   LogEventLocked(event);
   if (event.kind == Event::Kind::kAppend) {
     const double* x = event.row.data().data();
@@ -577,54 +534,101 @@ bool StreamingRanker::PolicyFiresLocked() {
   return false;
 }
 
-bool StreamingRanker::PrepareRefreshLocked(RefreshJob* job, Status* status) {
-  const int n = static_cast<int>(row_ids_.size());
-  if (n < 4) {
-    *status = Status::FailedPrecondition(
-        "StreamingRanker: fewer than 4 live rows, refresh impossible");
-    return false;
+std::shared_ptr<StreamingRanker::RefreshJob> StreamingRanker::NextJobLocked(
+    bool events_since_job) {
+  if (!started_ || refresh_in_flight_) return nullptr;
+  // events_since_refresh_ > 0 makes chains of warm jobs terminate: each
+  // needs at least one event applied since the previous one was prepared.
+  const bool warm = events_since_refresh_ > 0 && PolicyFiresLocked();
+  const int cold_period = options_.drift.cold_refit_period_events;
+  if (!warm && !(events_since_job && cold_period > 0 &&
+                 events_since_cold_ >= cold_period)) {
+    return nullptr;
   }
-  Result<data::Normalizer> normalizer = online_.ToNormalizer();
-  if (!normalizer.ok()) {
-    *status = normalizer.status();
-    return false;
+  const RefreshJob::Kind kind =
+      warm ? RefreshJob::Kind::kWarm : RefreshJob::Kind::kCold;
+  auto job = std::make_shared<RefreshJob>();
+  if (PrepareJobLocked(kind, job.get()).ok()) return job;
+  // Impossible right now: restart the count so it doesn't re-fire on
+  // every event.
+  if (warm) {
+    ++skipped_refreshes_;
+    events_since_refresh_ = 0;
+  } else {
+    events_since_cold_ = 0;
   }
-  job->rows = StoreMatrixLocked();
-  job->row_ids = row_ids_;
-  job->seed_control = control_;
-  job->old_mins = model_mins_;
-  job->old_maxs = model_maxs_;
-  job->normalizer = std::move(normalizer).value();
-  refresh_in_flight_ = true;
-  events_since_refresh_ = 0;
-  return true;
+  return nullptr;
 }
 
-Status StreamingRanker::RunRefresh(RefreshJob* job) {
+Status StreamingRanker::PrepareJobLocked(RefreshJob::Kind kind,
+                                         RefreshJob* job) {
+  if (row_ids_.size() < 4) {
+    return Status::FailedPrecondition(
+        "StreamingRanker: fewer than 4 live rows, refresh impossible");
+  }
+  RPC_ASSIGN_OR_RETURN(data::Normalizer normalizer, online_.ToNormalizer());
+  job->kind = kind;
+  job->rows = StoreMatrixLocked();
+  job->row_ids = row_ids_;
+  job->live_control = control_;
+  job->old_mins = model_mins_;
+  job->old_maxs = model_maxs_;
+  job->normalizer = std::move(normalizer);
+  job->prepared_events = events_processed_;
+  refresh_in_flight_ = true;
+  (kind == RefreshJob::Kind::kWarm ? events_since_refresh_
+                                   : events_since_cold_) = 0;
+  return Status::Ok();
+}
+
+Status StreamingRanker::RunJob(RefreshJob* job) {
+  const bool warm = job->kind == RefreshJob::Kind::kWarm;
   const auto start = std::chrono::steady_clock::now();
   const obs::TraceId trace = obs::NewTraceId();
-  const obs::Span refresh_span(trace, "stream.refresh");
+  const obs::Span job_span(trace,
+                           warm ? "stream.refresh" : "stream.cold_refit");
+  // Both kinds emit the phase spans; the phase histograms time warm
+  // refreshes only.
+  const auto phase = [&](obs::Histogram& histogram, const char* name,
+                         std::int64_t from, std::int64_t to) {
+    if (warm) histogram.Record((to - from) / 1000);
+    obs::EmitSpan(trace, name, from, to);
+  };
   const std::int64_t t0 = obs::TraceNowNs();
   const data::Normalizer& normalizer = *job->normalizer;
   const Matrix normalized = normalizer.Transform(job->rows);
-  const Matrix seed =
-      RemapControlPoints(job->seed_control, job->old_mins, job->old_maxs,
+  const Matrix remapped =
+      RemapControlPoints(job->live_control, job->old_mins, job->old_maxs,
                          normalizer.mins(), normalizer.maxs());
   const std::int64_t t1 = obs::TraceNowNs();
-  refresh_renormalize_us_.Record((t1 - t0) / 1000);
-  obs::EmitSpan(trace, "stream.renormalize", t0, t1);
-  core::RpcLearnOptions refit_options = warm_options_;
-  refit_options.trace_id = trace;  // stage spans nest under this refresh
-  const core::RpcLearner learner(refit_options);
-  Result<core::RpcFitResult> fit = learner.Refit(normalized, alpha_, seed);
+  phase(refresh_renormalize_us_, "stream.renormalize", t0, t1);
+  core::RpcLearnOptions learn_options =
+      warm ? warm_options_ : options_.learner;
+  learn_options.trace_id = trace;  // stage spans nest under this job
+  const core::RpcLearner learner(learn_options);
+  Result<core::RpcFitResult> fit =
+      warm ? learner.Refit(normalized, alpha_, remapped)
+           : learner.Fit(normalized, alpha_);
+  bool adopt = fit.ok();
+  if (adopt && !warm) {
+    // Publish-if-better: the live model's objective J on the same rows, in
+    // the same (live) coordinates, is the sum of squared projection
+    // distances onto the remapped curve — apples-to-apples with
+    // fit->final_j. A cold fit that found no better basin is discarded.
+    curve::BezierCurve live;
+    live.SetControlPoints(remapped);
+    double live_j = 0.0;
+    opt::ProjectRows(live, normalized, options_.learner.projection, &live_j);
+    adopt = fit->final_j < live_j;
+  }
   const std::int64_t t2 = obs::TraceNowNs();
-  refresh_refit_us_.Record((t2 - t1) / 1000);
-  obs::EmitSpan(trace, "stream.refit", t1, t2);
-  if (!fit.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++failed_refreshes_;
-    refresh_in_flight_ = false;
-    cv_.notify_all();
+  phase(refresh_refit_us_, "stream.refit", t1, t2);
+  if (!adopt) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++(fit.ok() ? cold_rejected_ : failed_refreshes_);
+    }
+    FinishJob(*job);
     return fit.status();
   }
 
@@ -636,69 +640,65 @@ Status StreamingRanker::RunRefresh(RefreshJob* job) {
     model_mins_ = normalizer.mins();
     model_maxs_ = normalizer.maxs();
     ++version_;
-    ++refreshes_;
-    // Refresh the served score of every row the snapshot covered; rows
-    // appended while the refit ran keep their append-time projection
-    // (they are first-class citizens of the next refresh).
+    // Refresh the served score of every row the job covered; rows appended
+    // while it ran keep their append-time projection (they are first-class
+    // citizens of the next job).
     for (size_t i = 0; i < job->row_ids.size(); ++i) {
       const auto it = id_to_index_.find(job->row_ids[i]);
-      if (it == id_to_index_.end()) continue;  // retired mid-refresh
+      if (it == id_to_index_.end()) continue;  // retired mid-job
       s_[static_cast<size_t>(it->second)] = fit->scores[static_cast<int>(i)];
     }
     RebindCurveLocked();
-    refresh_seconds_.push_back(SecondsSince(start));
+    if (warm) {
+      ++refreshes_;
+      refresh_seconds_.push_back(SecondsSince(start));
+    } else {
+      ++cold_refits_;
+    }
     portable = PortableModelLocked();
     // Staged at exactly the point in the event order where the new
     // version took effect, so replay reproduces the same interleaving.
-    LogPublishLocked(kPublishWarm, portable, job->row_ids, fit->scores);
+    LogPublishLocked(warm ? kPublishWarm : kPublishCold, portable,
+                     job->row_ids, fit->scores);
     durable = log_ != nullptr;
   }
   if (durable) ScheduleLogFlush();
-  // Publish before clearing refresh_in_flight_, so versions reach the
-  // serving tier in order (at most one refresh exists at a time).
-  Status published = Status::Ok();
-  if (service_ != nullptr) {
-    published =
-        service_->RegisterDataset(dataset_id_, portable, options_.serving);
-  }
-  const std::int64_t t3 = obs::TraceNowNs();
-  refresh_publish_us_.Record((t3 - t2) / 1000);
-  obs::EmitSpan(trace, "stream.publish", t2, t3);
-  std::shared_ptr<RefreshJob> chained;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!published.ok()) ++publish_failures_;
-    refresh_in_flight_ = false;
-    chained = MaybeChainRefreshLocked();
-  }
-  cv_.notify_all();
-  if (chained != nullptr) {
-    aux_pool_->Submit([this, chained] { (void)RunRefresh(chained.get()); });
-  }
+  // Publish before releasing the slot, so versions reach the serving tier
+  // in order (at most one job exists at a time).
+  const Status published = Publish(portable);
+  phase(refresh_publish_us_, "stream.publish", t2, obs::TraceNowNs());
+  FinishJob(*job);
   return published;
 }
 
-std::shared_ptr<StreamingRanker::RefreshJob>
-StreamingRanker::MaybeChainRefreshLocked() {
-  // Events keep applying while a refresh runs on the aux lane, so the
-  // policy may have re-fired mid-refresh with nobody to act on it (the
-  // ingestion path only fires when no refresh is in flight). Re-check at
-  // completion: without this, a quiet stream leaves the accumulated
-  // events unrefreshed until the next arrival. The events_since_refresh_
-  // guard makes chains terminate — each one needs at least one event
-  // applied since the previous refresh was prepared.
-  if (stopped_ || !started_ || events_since_refresh_ <= 0 ||
-      !PolicyFiresLocked()) {
-    return nullptr;
+void StreamingRanker::FinishJob(const RefreshJob& job) {
+  std::shared_ptr<RefreshJob> next;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    refresh_in_flight_ = false;
+    // Events keep applying while a job runs on the aux lane, but the
+    // chooser passes them over while the slot is held. Re-ask it now:
+    // otherwise a quiet stream leaves them unrefreshed until the next
+    // arrival, whether this job was adopted, rejected or failed.
+    if (!stopped_) {
+      next = NextJobLocked(events_processed_ > job.prepared_events);
+    }
   }
-  RefreshJob job;
-  Status reason = Status::Ok();
-  if (!PrepareRefreshLocked(&job, &reason)) {
-    ++skipped_refreshes_;
-    events_since_refresh_ = 0;
-    return nullptr;
+  cv_.notify_all();
+  if (next != nullptr) {
+    aux_pool_->Submit([this, next] { (void)RunJob(next.get()); });
   }
-  return std::make_shared<RefreshJob>(std::move(job));
+}
+
+Status StreamingRanker::Publish(const core::PortableRpcModel& portable) {
+  if (service_ == nullptr) return Status::Ok();
+  Status published =
+      service_->RegisterDataset(dataset_id_, portable, options_.serving);
+  if (!published.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++publish_failures_;
+  }
+  return published;
 }
 
 double StreamingRanker::ProjectRowLocked(const double* raw_row) {
@@ -732,96 +732,6 @@ Matrix StreamingRanker::StoreMatrixLocked() const {
     std::copy(rows_.begin(), rows_.end(), out.RowPtr(0));
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Background cold refit (publish-if-better).
-
-bool StreamingRanker::PrepareColdLocked(ColdJob* job) {
-  const int n = static_cast<int>(row_ids_.size());
-  if (n < 4) return false;
-  Result<data::Normalizer> normalizer = online_.ToNormalizer();
-  if (!normalizer.ok()) return false;
-  job->rows = StoreMatrixLocked();
-  job->row_ids = row_ids_;
-  job->live_control = control_;
-  job->old_mins = model_mins_;
-  job->old_maxs = model_maxs_;
-  job->normalizer = std::move(normalizer).value();
-  refresh_in_flight_ = true;  // shares the warm-refresh slot
-  events_since_cold_ = 0;
-  return true;
-}
-
-Status StreamingRanker::RunColdRefit(ColdJob* job) {
-  const data::Normalizer& normalizer = *job->normalizer;
-  const Matrix normalized = normalizer.Transform(job->rows);
-  const core::RpcLearner learner(options_.learner);
-  Result<core::RpcFitResult> fit = learner.Fit(normalized, alpha_);
-  if (!fit.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++failed_refreshes_;
-    refresh_in_flight_ = false;
-    cv_.notify_all();
-    return fit.status();
-  }
-  // The live model's objective J on the same rows, in the same (live)
-  // coordinates: remap its control points (Eq. 16) and sum the squared
-  // projection distances. Apples-to-apples with fit->final_j.
-  const Matrix remapped =
-      RemapControlPoints(job->live_control, job->old_mins, job->old_maxs,
-                         normalizer.mins(), normalizer.maxs());
-  curve::BezierCurve live;
-  live.SetControlPoints(remapped);
-  double live_j = 0.0;
-  opt::ProjectRows(live, normalized, options_.learner.projection, &live_j);
-  if (!(fit->final_j < live_j)) {
-    // The cold fit found no better basin than the live (warm-maintained)
-    // model; keep serving the incumbent.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++cold_rejected_;
-    refresh_in_flight_ = false;
-    cv_.notify_all();
-    return Status::Ok();
-  }
-
-  core::PortableRpcModel portable;
-  bool durable = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    control_ = fit->curve.control_points();
-    model_mins_ = normalizer.mins();
-    model_maxs_ = normalizer.maxs();
-    ++version_;
-    ++cold_refits_;
-    for (size_t i = 0; i < job->row_ids.size(); ++i) {
-      const auto it = id_to_index_.find(job->row_ids[i]);
-      if (it == id_to_index_.end()) continue;  // retired mid-fit
-      s_[static_cast<size_t>(it->second)] = fit->scores[static_cast<int>(i)];
-    }
-    RebindCurveLocked();
-    portable = PortableModelLocked();
-    LogPublishLocked(kPublishCold, portable, job->row_ids, fit->scores);
-    durable = log_ != nullptr;
-  }
-  if (durable) ScheduleLogFlush();
-  Status published = Status::Ok();
-  if (service_ != nullptr) {
-    published =
-        service_->RegisterDataset(dataset_id_, portable, options_.serving);
-  }
-  std::shared_ptr<RefreshJob> chained;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!published.ok()) ++publish_failures_;
-    refresh_in_flight_ = false;
-    chained = MaybeChainRefreshLocked();
-  }
-  cv_.notify_all();
-  if (chained != nullptr) {
-    aux_pool_->Submit([this, chained] { (void)RunRefresh(chained.get()); });
-  }
-  return published;
 }
 
 // ---------------------------------------------------------------------------
@@ -912,46 +822,14 @@ durable::SnapshotState StreamingRanker::BuildSnapshotStateLocked() const {
   return state;
 }
 
-void StreamingRanker::RunSnapshot(
-    std::shared_ptr<durable::SnapshotState> state) {
-  const DurabilityOptions& dur = options_.durability;
-  Status status =
-      durable::WriteSnapshot(dur.dir, *state, dur.injector.get());
-  if (status.ok()) {
-    status = durable::RemoveOldSnapshots(dur.dir,
-                                         std::max(dur.keep_snapshots, 1));
-  }
-  if (status.ok()) {
-    // Truncate only through the OLDEST kept snapshot: if the newest turns
-    // out corrupt at recovery, the fallback still has its log suffix.
-    const std::vector<std::uint64_t> seqs =
-        durable::ListSnapshotSeqs(dur.dir);
-    if (!seqs.empty()) {
-      const std::uint64_t horizon =
-          TruncateHorizon(seqs.front(), log_->last_appended_seq());
-      if (horizon > 0) status = log_->TruncateThrough(horizon);
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  snapshot_in_flight_ = false;
-  if (status.ok()) {
-    ++snapshots_;
-  } else {
-    ++durable_errors_;
-  }
-}
-
-Status StreamingRanker::WriteSnapshotNow() {
-  durable::SnapshotState state;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    state = BuildSnapshotStateLocked();
-  }
+Status StreamingRanker::PersistSnapshot(const durable::SnapshotState& state) {
   const DurabilityOptions& dur = options_.durability;
   RPC_RETURN_IF_ERROR(
       durable::WriteSnapshot(dur.dir, state, dur.injector.get()));
   RPC_RETURN_IF_ERROR(durable::RemoveOldSnapshots(
       dur.dir, std::max(dur.keep_snapshots, 1)));
+  // Truncate only through the OLDEST kept snapshot: if the newest turns out
+  // corrupt at recovery, the fallback still has its log suffix.
   const std::vector<std::uint64_t> seqs = durable::ListSnapshotSeqs(dur.dir);
   durable::EventLog* log = nullptr;
   {
@@ -966,6 +844,24 @@ Status StreamingRanker::WriteSnapshotNow() {
     }
   }
   return Status::Ok();
+}
+
+Status StreamingRanker::WriteSnapshotNow() {
+  durable::SnapshotState state;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    state = BuildSnapshotStateLocked();
+  }
+  return PersistSnapshot(state);
+}
+
+Result<std::unique_ptr<durable::EventLog>> StreamingRanker::OpenLog(
+    int d, std::uint64_t next_seq) const {
+  durable::EventLog::Options log_options;
+  log_options.segment_bytes = options_.durability.segment_bytes;
+  log_options.injector = options_.durability.injector.get();
+  return durable::EventLog::Open(options_.durability.dir, d, next_seq,
+                                 log_options);
 }
 
 std::uint64_t StreamingRanker::TruncateHorizon(
@@ -1030,33 +926,22 @@ Status StreamingRanker::ApplyReplayRecordLocked(
     const durable::ReplayRecord& record) {
   durable::Cursor cursor(record.payload);
   switch (record.type) {
-    case durable::RecordType::kAppend: {
+    case durable::RecordType::kAppend:
+    case durable::RecordType::kRetire: {
+      const bool append = record.type == durable::RecordType::kAppend;
       Event event;
-      event.kind = Event::Kind::kAppend;
+      event.kind = append ? Event::Kind::kAppend : Event::Kind::kRetire;
       event.row_id = cursor.I64();
-      Vector row(d_);
-      for (int j = 0; j < d_; ++j) row[j] = cursor.F64();
+      if (append) {
+        event.row = Vector(d_);
+        for (int j = 0; j < d_; ++j) event.row[j] = cursor.F64();
+      }
       if (!cursor.ok() || cursor.remaining() != 0) break;
-      event.row = std::move(row);
-      next_row_id_ = std::max(next_row_id_, event.row_id + 1);
+      if (append) next_row_id_ = std::max(next_row_id_, event.row_id + 1);
       // The same apply path ingestion uses: identical arithmetic on an
       // identical op sequence means bit-identical store, scores and
       // normalizer statistics.
       ApplyEventLocked(event);
-      ++events_processed_;
-      ++events_since_refresh_;
-      ++events_since_cold_;
-      return Status::Ok();
-    }
-    case durable::RecordType::kRetire: {
-      Event event;
-      event.kind = Event::Kind::kRetire;
-      event.row_id = cursor.I64();
-      if (!cursor.ok() || cursor.remaining() != 0) break;
-      ApplyEventLocked(event);
-      ++events_processed_;
-      ++events_since_refresh_;
-      ++events_since_cold_;
       return Status::Ok();
     }
     case durable::RecordType::kPublish: {
@@ -1078,10 +963,15 @@ Status StreamingRanker::ApplyReplayRecordLocked(
         s_[static_cast<size_t>(it->second)] = score;
       }
       RebindCurveLocked();
+      // The job behind this record restarted its policy count when it was
+      // prepared. Serially no event falls between that prepare and this
+      // record, so restarting the count here replays the cadence exactly.
       if (kind == kPublishCold) {
         ++cold_refits_;
+        events_since_cold_ = 0;
       } else {
         ++refreshes_;
+        events_since_refresh_ = 0;
       }
       return Status::Ok();
     }
@@ -1159,76 +1049,56 @@ Status StreamingRanker::RecoverImpl(bool as_follower) {
           replayed->tail_segment_path.c_str()));
     }
   }
-  if (as_follower) {
-    // A standby stops here: same snapshot, same replay, same state — but
-    // it does not take over the log for writing (the replication applier
-    // owns the local WAL) and writes no snapshot of its own. It keeps
-    // serving the recovered model read-only until promoted.
-    core::PortableRpcModel follower_model;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+  std::unique_ptr<durable::EventLog> log;
+  if (!as_follower) {
+    RPC_ASSIGN_OR_RETURN(log, OpenLog(d, replayed->last_seq + 1));
+  }
+  core::PortableRpcModel portable;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    recovery_info_ = {.recovered = true,
+                      .snapshot_path = loaded.path,
+                      .snapshot_seq = loaded.state.last_seq,
+                      .snapshot_fallbacks = loaded.fallbacks,
+                      .replayed_records = replayed->replayed,
+                      .tail_truncated = replayed->tail_truncated,
+                      .recovered_version = version_};
+    if (as_follower) {
       started_ = true;
       follower_ = true;
       last_applied_seq_ = replayed->last_seq;
-      follower_model = PortableModelLocked();
-      recovery_info_.recovered = true;
-      recovery_info_.snapshot_path = loaded.path;
-      recovery_info_.snapshot_seq = loaded.state.last_seq;
-      recovery_info_.snapshot_fallbacks = loaded.fallbacks;
-      recovery_info_.replayed_records = replayed->replayed;
-      recovery_info_.tail_truncated = replayed->tail_truncated;
-      recovery_info_.recovered_version = version_;
+      portable = PortableModelLocked();
     }
-    Status follower_published = Status::Ok();
-    if (service_ != nullptr) {
-      follower_published = service_->RegisterDataset(
-          dataset_id_, follower_model, options_.serving);
-    }
-    if (!follower_published.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++publish_failures_;
-    }
-    return follower_published;
   }
-  durable::EventLog::Options log_options;
-  log_options.segment_bytes = dur.segment_bytes;
-  log_options.injector = dur.injector.get();
-  RPC_ASSIGN_OR_RETURN(std::unique_ptr<durable::EventLog> log,
-                       durable::EventLog::Open(dur.dir, d,
-                                               replayed->last_seq + 1,
-                                               log_options));
+  // A primary takes the log over: a fresh post-recovery snapshot bounds the
+  // next crash's replay (and absorbs the replayed suffix, so the truncated
+  // log can be rotated), and queries resume against exactly the version
+  // that was being served pre-crash.
+  if (!as_follower) return TakeOver(std::move(log));
+  // A standby stops here: same snapshot, same replay, same state — but it
+  // does not take over the log for writing (the replication applier owns
+  // the local WAL) and writes no snapshot of its own. It keeps serving the
+  // recovered model read-only until promoted.
+  return Publish(portable);
+}
+
+Status StreamingRanker::TakeOver(std::unique_ptr<durable::EventLog> log) {
   core::PortableRpcModel portable;
   {
     std::lock_guard<std::mutex> lock(mu_);
     log_ = std::move(log);
     started_ = true;
-    refresh_in_flight_ = true;  // hold the slot across the re-publish
+    follower_ = false;
+    refresh_in_flight_ = true;  // hold the slot across snapshot and publish
     portable = PortableModelLocked();
-    recovery_info_.recovered = true;
-    recovery_info_.snapshot_path = loaded.path;
-    recovery_info_.snapshot_seq = loaded.state.last_seq;
-    recovery_info_.snapshot_fallbacks = loaded.fallbacks;
-    recovery_info_.replayed_records = replayed->replayed;
-    recovery_info_.tail_truncated = replayed->tail_truncated;
-    recovery_info_.recovered_version = version_;
   }
-  // A fresh post-recovery snapshot bounds the next crash's replay (and
-  // absorbs the replayed suffix, so the truncated log can be rotated).
-  const Status snapped = WriteSnapshotNow();
-  if (!snapped.ok()) {
+  if (!WriteSnapshotNow().ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++durable_errors_;
   }
-  // Re-publish the recovered model version to the serving tier: queries
-  // resume against exactly the version that was being served pre-crash.
-  Status published = Status::Ok();
-  if (service_ != nullptr) {
-    published =
-        service_->RegisterDataset(dataset_id_, portable, options_.serving);
-  }
+  const Status published = Publish(portable);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!published.ok()) ++publish_failures_;
     refresh_in_flight_ = false;
   }
   cv_.notify_all();
@@ -1259,16 +1129,7 @@ Status StreamingRanker::FollowerInstallSnapshot(
     last_applied_seq_ = state.last_seq;
     portable = PortableModelLocked();
   }
-  Status published = Status::Ok();
-  if (service_ != nullptr) {
-    published =
-        service_->RegisterDataset(dataset_id_, portable, options_.serving);
-  }
-  if (!published.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++publish_failures_;
-  }
-  return published;
+  return Publish(portable);
 }
 
 Status StreamingRanker::ApplyFollowerRecord(
@@ -1300,16 +1161,7 @@ Status StreamingRanker::ApplyFollowerRecord(
   // A replayed publish record changed the served model: push the new
   // version to the serving tier exactly as the primary did at this point
   // in the event order.
-  Status published = Status::Ok();
-  if (republish && service_ != nullptr) {
-    published =
-        service_->RegisterDataset(dataset_id_, portable, options_.serving);
-    if (!published.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++publish_failures_;
-    }
-  }
-  return published;
+  return republish ? Publish(portable) : Status::Ok();
 }
 
 Status StreamingRanker::PromoteToPrimary() {
@@ -1334,39 +1186,9 @@ Status StreamingRanker::PromoteToPrimary() {
   // the promoted log continues the very same sequence chain. The caller
   // must have closed the replication sink first — two writers on one
   // segment file would interleave.
-  durable::EventLog::Options log_options;
-  log_options.segment_bytes = dur.segment_bytes;
-  log_options.injector = dur.injector.get();
-  RPC_ASSIGN_OR_RETURN(
-      std::unique_ptr<durable::EventLog> log,
-      durable::EventLog::Open(dur.dir, d, next_seq, log_options));
-  core::PortableRpcModel portable;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    log_ = std::move(log);
-    follower_ = false;
-    refresh_in_flight_ = true;  // hold the slot across the promote publish
-    portable = PortableModelLocked();
-  }
-  // A promotion snapshot bounds the next crash's replay and marks the
-  // takeover point on disk.
-  const Status snapped = WriteSnapshotNow();
-  if (!snapped.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++durable_errors_;
-  }
-  Status published = Status::Ok();
-  if (service_ != nullptr) {
-    published =
-        service_->RegisterDataset(dataset_id_, portable, options_.serving);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!published.ok()) ++publish_failures_;
-    refresh_in_flight_ = false;
-  }
-  cv_.notify_all();
-  return published;
+  RPC_ASSIGN_OR_RETURN(std::unique_ptr<durable::EventLog> log,
+                       OpenLog(d, next_seq));
+  return TakeOver(std::move(log));
 }
 
 bool StreamingRanker::is_follower() const {

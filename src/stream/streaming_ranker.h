@@ -134,9 +134,9 @@ struct StreamStats {
   std::int64_t retired = 0;
   std::int64_t retire_misses = 0;    // retirements of unknown row ids
   std::int64_t events_processed = 0;
-  std::int64_t refreshes = 0;        // published model versions - 1
+  std::int64_t refreshes = 0;        // warm refreshes published
   std::int64_t skipped_refreshes = 0;  // policy fired but refit impossible
-  std::int64_t failed_refreshes = 0;   // learner error (model kept)
+  std::int64_t failed_refreshes = 0;   // learner error, warm or cold
   std::int64_t publish_failures = 0;   // RankingService rejected a publish
   std::int64_t rows = 0;             // live rows
   std::uint64_t version = 0;         // current model version (0 = no model)
@@ -172,6 +172,11 @@ struct StreamStats {
 ///     alone — the model is its control points, and Step 4 re-derives
 ///     every s* from them — so the refresh costs one or two outer
 ///     iterations instead of a cold multi-restart fit.
+///   * A background cold refit (DriftPolicy::cold_refit_period_events) is
+///     the same job with a full multi-restart Fit in place of the Refit,
+///     adopted only when it beats the live model's J. Whatever a job's
+///     outcome, its finish re-asks the policy, so events applied while it
+///     ran are never stranded.
 ///   * Each successful refresh is published as a new immutable version
 ///     through serve::RankingService::RegisterDataset — the copy-on-write
 ///     swap PR 3 built, so in-flight queries never see a torn model and
@@ -337,44 +342,52 @@ class StreamingRanker {
     std::int64_t enqueue_ns = 0;
   };
 
-  /// Everything one refresh needs, snapshotted under the lock so the refit
-  /// runs on an immutable copy while ingestion continues.
+  /// Everything one refresh job needs, snapshotted under the lock so the
+  /// fit runs on an immutable copy while ingestion continues. Both kinds
+  /// remap the live control points into the frozen live bounds (Eq. 16): a
+  /// warm job seeds a Refit with them, a cold job runs the full
+  /// multi-restart Fit and is adopted only if it beats their J on the same
+  /// rows.
   struct RefreshJob {
-    linalg::Matrix rows;
-    std::vector<std::int64_t> row_ids;
-    linalg::Matrix seed_control;
-    linalg::Vector old_mins, old_maxs;
-    /// Live bounds frozen at snapshot time (optional only because
-    /// Normalizer has no default constructor; always set by Prepare).
-    std::optional<data::Normalizer> normalizer;
-  };
-
-  /// Everything one background cold refit needs, snapshotted under the
-  /// lock (like RefreshJob, plus the live control points so the cold
-  /// result's J can be compared against the live model's J on the same
-  /// rows before it is adopted).
-  struct ColdJob {
+    enum class Kind { kWarm, kCold };
+    Kind kind = Kind::kWarm;
     linalg::Matrix rows;
     std::vector<std::int64_t> row_ids;
     linalg::Matrix live_control;
     linalg::Vector old_mins, old_maxs;
+    /// Live bounds frozen at snapshot time (optional only because
+    /// Normalizer has no default constructor; always set by Prepare).
     std::optional<data::Normalizer> normalizer;
+    /// events_processed_ when the job was prepared.
+    std::int64_t prepared_events = 0;
   };
 
   Result<std::int64_t> AppendImpl(const linalg::Vector& raw_row,
                                   bool blocking);
+  /// Refuses client mutations unless started, not stopped and not a
+  /// read-only follower.
+  Status CheckWritableLocked() const;
   void ProcessOneEvent();
   void ApplyEventLocked(const Event& event);
   bool PolicyFiresLocked();
-  /// Snapshots the refresh inputs; false (with a reason in *status) when a
-  /// refresh is impossible right now (too few rows, degenerate bounds).
-  bool PrepareRefreshLocked(RefreshJob* job, Status* status);
-  Status RunRefresh(RefreshJob* job);
-  bool PrepareColdLocked(ColdJob* job);
-  Status RunColdRefit(ColdJob* job);
-  /// Re-evaluates the drift policy when a refresh finishes; returns a
-  /// prepared follow-up job (refresh_in_flight_ stays set) or null.
-  std::shared_ptr<RefreshJob> MaybeChainRefreshLocked();
+  /// The one job chooser, asked after every applied event and by every
+  /// finishing job: a warm refresh when the drift policy fires, else a cold
+  /// refit when its period is due (only for events applied since the last
+  /// job was prepared). Returns the prepared job holding the refresh slot,
+  /// or null.
+  std::shared_ptr<RefreshJob> NextJobLocked(bool events_since_job);
+  /// Snapshots the job inputs and claims the refresh slot; an error when a
+  /// job is impossible right now (too few rows, degenerate bounds).
+  Status PrepareJobLocked(RefreshJob::Kind kind, RefreshJob* job);
+  /// Runs a prepared job: renormalise and remap, fit, then adopt, log and
+  /// publish the result (a cold fit only if it wins), then FinishJob.
+  Status RunJob(RefreshJob* job);
+  /// Every job's exit: releases the refresh slot and starts whatever job
+  /// the chooser now asks for.
+  void FinishJob(const RefreshJob& job);
+  /// Registers `portable` with the serving tier (when there is one) and
+  /// counts a rejection in publish_failures_.
+  Status Publish(const core::PortableRpcModel& portable);
 
   // Durable tier (all no-ops while log_ is null).
   void LogEventLocked(const Event& event);
@@ -387,11 +400,18 @@ class StreamingRanker {
   /// unless one is already scheduled, so a burst of events shares a fsync.
   void ScheduleLogFlush();
   durable::SnapshotState BuildSnapshotStateLocked() const;
-  /// Aux-lane snapshot job: write, rotate, truncate the log behind the
-  /// oldest kept snapshot.
-  void RunSnapshot(std::shared_ptr<durable::SnapshotState> state);
-  /// Synchronous snapshot (Start bootstrap, Stop finale, post-recovery).
+  /// Writes `state`, rotates old snapshots and truncates the log behind the
+  /// oldest kept one (milestone and synchronous snapshots alike).
+  Status PersistSnapshot(const durable::SnapshotState& state);
+  /// Synchronous snapshot of the live state (Start bootstrap, Stop finale,
+  /// takeover).
   Status WriteSnapshotNow();
+  Result<std::unique_ptr<durable::EventLog>> OpenLog(
+      int d, std::uint64_t next_seq) const;
+  /// Recover()'s primary tail and PromoteToPrimary(): installs `log` for
+  /// writing and, holding the refresh slot, writes a snapshot (a failure
+  /// counts in durable_errors_) and publishes the live model.
+  Status TakeOver(std::unique_ptr<durable::EventLog> log);
   Status InstallSnapshotStateLocked(const durable::SnapshotState& state);
   Status ApplyReplayRecordLocked(const durable::ReplayRecord& record);
   /// Shared Recover()/RecoverAsFollower() body.

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -183,16 +184,29 @@ TEST_P(DurableRecoveryTest, KillRecoverResubmitMatchesUncrashedReplica) {
   const std::string crash_dir = MakeTempDir("crash");
   RemoveDir(crash_dir);  // CopyDir recreates it as an exact image
 
+  // A background cold refit at event 11, after the last prefix snapshot,
+  // puts a kPublishCold record into the log every failpoint replays.
+  StreamingRankerOptions base_options = SerialOptions();
+  base_options.drift.cold_refit_period_events = 11;
+
   auto injector = std::make_shared<durable::FaultInjector>();
-  StreamingRankerOptions durable_options = SerialOptions();
+  StreamingRankerOptions durable_options = base_options;
   durable_options.durability.dir = live_dir;
   durable_options.durability.segment_bytes = 1 << 12;
   durable_options.durability.snapshot_every_events = 5;
   durable_options.durability.injector = injector;
 
+  // The reference's served version after each count of processed events,
+  // from the acknowledgment boundary on.
+  std::map<std::int64_t, std::uint64_t> reference_versions;
+  const auto record_version = [&](const StreamingRanker& ranker) {
+    reference_versions[ranker.stats().events_processed] =
+        ranker.snapshot().version;
+  };
+
   serve::RankingService crashed_service;
   serve::RankingService reference_service;
-  StreamingRanker reference(&reference_service, "live", SerialOptions());
+  StreamingRanker reference(&reference_service, "live", base_options);
   ASSERT_TRUE(reference.Start(raw, alpha).ok());
 
   {
@@ -217,10 +231,15 @@ TEST_P(DurableRecoveryTest, KillRecoverResubmitMatchesUncrashedReplica) {
     ASSERT_TRUE(reference.ForceRefresh().ok());
     ASSERT_TRUE(crashed.Flush().ok());  // the acknowledgment boundary
     ASSERT_TRUE(reference.Flush().ok());
+    ASSERT_EQ(reference.stats().cold_refits, 1);  // the acked cold publish
+    record_version(reference);
 
     injector->Arm(fail_point, 1);
     drive(&crashed, suffix);
-    drive(&reference, suffix);
+    for (const Op& op : suffix) {
+      drive(&reference, {op});
+      record_version(reference);
+    }
     EXPECT_TRUE(injector->crashed())
         << durable::FailPointName(fail_point) << " never fired";
     EXPECT_GT(crashed.stats().durable_errors, 0);
@@ -231,7 +250,7 @@ TEST_P(DurableRecoveryTest, KillRecoverResubmitMatchesUncrashedReplica) {
     CopyDir(live_dir, crash_dir);
   }
 
-  StreamingRankerOptions recover_options = SerialOptions();
+  StreamingRankerOptions recover_options = base_options;
   recover_options.durability.dir = crash_dir;
   recover_options.durability.segment_bytes = 1 << 12;
   recover_options.durability.snapshot_every_events = 5;
@@ -248,12 +267,19 @@ TEST_P(DurableRecoveryTest, KillRecoverResubmitMatchesUncrashedReplica) {
     // have been detected and cut.
     EXPECT_TRUE(info.tail_truncated);
   }
-  // The served version survived the crash exactly: version 2 was published
-  // by the acknowledged ForceRefresh.
-  EXPECT_EQ(info.recovered_version, 2u);
+  // The served version survived the crash exactly: the one the uncrashed
+  // replica served after the same events (at least the acknowledged
+  // ForceRefresh's publish).
+  const auto want_version =
+      reference_versions.find(recovered.stats().events_processed);
+  ASSERT_NE(want_version, reference_versions.end());
+  EXPECT_EQ(info.recovered_version, want_version->second);
   const auto served_version = recovered_service.DatasetVersion("live");
   ASSERT_TRUE(served_version.ok());
-  EXPECT_EQ(*served_version, 2u);
+  EXPECT_EQ(*served_version, want_version->second);
+  // The cold publish came back through replay: snapshots do not carry the
+  // cold_refits counter, so only a replayed kPublishCold record sets it.
+  EXPECT_GE(recovered.stats().cold_refits, 1);
 
   // No acknowledged event may be missing: every prefix append is present,
   // both retires absent, exactly as acknowledged.

@@ -303,6 +303,47 @@ TEST(StreamingRankerTest, LifecycleErrorsAreStatusesNotCrashes) {
   ranker.Stop();                               // idempotent
 }
 
+// Every publish site counts a serving-tier rejection, Start's included.
+TEST(StreamingRankerTest, StartCountsItsPublishFailure) {
+  const Orientation alpha = *Orientation::FromSigns({+1, +1});
+  const Matrix raw = RawFixture(alpha, 40, 53);
+  serve::RankingService service;
+  // The service refuses an empty dataset id.
+  StreamingRanker ranker(&service, "", QuietOptions());
+  EXPECT_EQ(ranker.Start(raw, alpha).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ranker.stats().publish_failures, 1);
+}
+
+// A job that ends without adopting a model must still re-check the policy.
+// The cold fit (8 restarts over 2,000 rows: tens of milliseconds) outlasts
+// the appends queued right behind its trigger, so the row-delta policy
+// fires while the slot is held; once the cold fit is rejected, nothing else
+// arrives to act on it unless the finishing job does.
+TEST(StreamingRankerTest, RejectedColdRefitRechecksThePolicy) {
+  const Orientation alpha = *Orientation::FromSigns({+1, -1, +1});
+  const Matrix raw = RawFixture(alpha, 2000, 1);
+  constexpr int kColdPeriod = 6;
+  constexpr int kRowDelta = 10;  // fires before a second cold refit could
+  StreamingRankerOptions options = QuietOptions();
+  options.num_threads = 2;
+  options.learner.restarts = 8;
+  options.drift.cold_refit_period_events = kColdPeriod;
+  options.drift.refit_on_row_delta = kRowDelta;
+  StreamingRanker ranker(nullptr, "live", options);
+  ASSERT_TRUE(ranker.Start(raw, alpha).ok());
+
+  for (int a = 0; a < kRowDelta; ++a) {
+    ASSERT_TRUE(ranker.Append(raw.Row(a)).ok());
+  }
+  ASSERT_TRUE(ranker.Flush().ok());
+
+  const StreamStats stats = ranker.stats();
+  ASSERT_EQ(stats.cold_rejected, 1);  // the fixture's cold fit loses on J
+  EXPECT_EQ(stats.cold_refits, 0);
+  EXPECT_EQ(stats.refreshes, 1);
+  EXPECT_EQ(stats.version, 2u);
+}
+
 TEST(StreamingRankerTest, StopDrainsAdmittedEvents) {
   const Orientation alpha = *Orientation::FromSigns({+1, +1});
   const Matrix raw = RawFixture(alpha, 40, 61);
